@@ -37,10 +37,6 @@ class ChainGraph:
     def n_edges(self) -> int:
         return sum(len(row) for row in self.edges)
 
-    @property
-    def active_boxes(self) -> tuple[int, ...]:
-        return tuple(i for i, row in enumerate(self.samples) if row)
-
 
 def build_chain_graph(
     ifs: IFSystem,
@@ -148,9 +144,6 @@ class RecurrenceReport:
     @property
     def resolution(self) -> int:
         return self.graph.cover.resolution
-
-    def is_recurrent_box(self, index: int) -> bool:
-        return index in self.recurrent
 
     def is_recurrent_point(self, p: Point) -> bool:
         return self.graph.cover.locate(p) in self.recurrent
@@ -288,24 +281,3 @@ def absence_certificate(graph: ChainGraph, x: Point, y: Point) -> bool:
                 frontier.append(b)
     return target not in seen
 
-
-def box_fraction(report: RecurrenceReport) -> float:
-    """Share of active boxes judged recurrent."""
-    active = report.graph.active_boxes
-    if not active:
-        return 0.0
-    hits = sum(1 for i in active if i in report.recurrent)
-    return hits / len(active)
-
-
-def chain_distance_scan(
-    graph: ChainGraph, sources: list[Point], targets: list[Point]
-) -> list[list[bool]]:
-    """Reachability matrix: can each source eps-chain to each target."""
-    out = []
-    for x in sources:
-        row = []
-        for y in targets:
-            row.append(find_chain(graph, x, y) is not None)
-        out.append(row)
-    return out

@@ -76,6 +76,17 @@ def _ensure_out(path: str) -> str:
     return path
 
 
+def _parse_endpoints(space, *texts: str) -> tuple:
+    """Parse comma-separated chain endpoints, one coordinate per coordinate label."""
+    width = len(space.coord_labels())
+    for text in texts:
+        if text.count(",") + 1 != width:
+            raise ValueError(
+                f"{space.describe()} points need {width} comma-separated coordinates, got {text!r}"
+            )
+    return tuple(space.parse_coords(text.split(",")) for text in texts)
+
+
 def _noise_model(kind: str, delta: float, jump_factor: float, period: int):
     if kind == "uniform":
         return UniformNoise()
@@ -268,6 +279,7 @@ def _cmd_chainrec(args, config) -> int:
     out = _ensure_out(_pick(args.out, config, "out", os.environ.get(_OUT_ENV, "."), str))
 
     ifs = make(name, **params)
+    ends = _parse_endpoints(ifs.space, chain_from, chain_to) if chain_from and chain_to else None
     labels = None
     if maps_spec:
         labels = tuple(reporting.decode_label(tok) for tok in maps_spec.split(";") if tok)
@@ -290,10 +302,8 @@ def _cmd_chainrec(args, config) -> int:
         f"boxes={len(graph)} edges={graph.n_edges} "
         f"recurrent={len(report.recurrent)} components={len(report.components)}"
     )
-    if chain_from and chain_to:
-        x = ifs.space.parse_coords(chain_from.split(","))
-        y = ifs.space.parse_coords(chain_to.split(","))
-        chain = find_chain(graph, x, y)
+    if ends:
+        chain = find_chain(graph, *ends)
         if chain is None:
             print("no chain found at this eps/resolution")
             return 1

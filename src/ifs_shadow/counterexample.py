@@ -95,6 +95,8 @@ def run_sweep(
     """
     if doublings < 1 or block < 1:
         raise ValueError("block and doublings must be positive")
+    if grid < 1 or streams < 1:
+        raise ValueError("grid and streams must be positive")
     horizon = 3 * (2**doublings) * block
     circle = Circle()
     separation = circle.distance(0.0, a)

@@ -49,12 +49,6 @@ class PseudoOrbit:
         )
         return cls(space=ifs.space, points=points, symbols=symbols, errors=errors)
 
-    def recomputed_errors(self, ifs: IFSystem) -> tuple:
-        return tuple(
-            ifs.space.distance(ifs.apply(self.symbols[i], self.points[i]), self.points[i + 1])
-            for i in range(self.horizon)
-        )
-
     def map_points(self, fn: Callable[[Point], Point], ifs: IFSystem) -> "PseudoOrbit":
         """Transport every point through fn, keeping symbols; errors recomputed."""
         return PseudoOrbit.from_points(ifs, [fn(p) for p in self.points], self.symbols)

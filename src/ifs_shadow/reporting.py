@@ -16,7 +16,7 @@ from .chainrec import ChainGraph, RecurrenceReport
 from .counterexample import CounterexampleSweep, stream_seed
 from .orbits import PseudoOrbit
 from .shadowing import ShadowReport
-from .spaces import PlaneRegion, Point, Space
+from .spaces import Circle, Interval, PlaneRegion, Point, Space
 from .systems import IFSystem
 
 
@@ -255,7 +255,7 @@ def rasterize(ifs: IFSystem, points: Iterable[Point], resolution: int) -> bytes:
             ix = min(max(int((p[0] - space.x0) / sx), 0), width - 1)
             iy = min(max(int((p[1] - space.y0) / sy), 0), height - 1)
             counts[(height - 1 - iy) * width + ix] += 1
-    elif hasattr(space, "lo") or space.__class__.__name__ == "Circle":
+    elif isinstance(space, (Interval, Circle)):
         width, height = resolution, max(resolution // 8, 1)
         counts = [0] * (width * height)
         cover = space.box_cover(width)

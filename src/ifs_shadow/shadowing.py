@@ -92,20 +92,6 @@ def _report(
     )
 
 
-def error_bound(alphas: Sequence[float], beta: float, initial_gap: float, step: int) -> float:
-    """Geometric ledger value after `step` steps: fold a_i into beta-decayed gap."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    if step < 0:
-        raise ValueError("step must be >= 0")
-    if step > len(alphas):
-        raise ValueError(f"step {step} exceeds the {len(alphas)} recorded errors")
-    bound = initial_gap
-    for i in range(step):
-        bound = alphas[i] + beta * bound
-    return bound
-
-
 def constructive_shadow(
     ifs: IFSystem, orbit: PseudoOrbit, eps: float, window: float = DEFAULT_WINDOW
 ) -> ShadowReport:
@@ -163,23 +149,6 @@ def average_distance_profile(
         raise ValueError("profiles need a horizon of at least 10 steps")
     symbols = stream.prefix(orbit.horizon)
     return _report(ifs, start, symbols, orbit, window)
-
-
-@dataclass(frozen=True)
-class PlainShadowVerdict:
-    eps: float
-    passed: bool
-    max_deviation: float
-
-
-def plain_shadow_check(
-    ifs: IFSystem, orbit: PseudoOrbit, start: Point, stream: SymbolStream, eps: float
-) -> PlainShadowVerdict:
-    """Uniform (not averaged) tracking: sup of step distances against eps."""
-    symbols = stream.prefix(orbit.horizon)
-    distances = _walk_distances(ifs, start, symbols, orbit)
-    worst = float(distances.max())
-    return PlainShadowVerdict(eps=eps, passed=bool(worst <= eps), max_deviation=worst)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,6 @@ from .errors import SpaceMismatchError
 from .seeding import mix_seed
 
 Point = object
-# half-open boxes: a shared boundary belongs to the box it starts, the last
-# box keeps its upper edge
-_EDGE_PULLBACK = 1e-12
 
 
 class Space(ABC):
@@ -173,7 +170,7 @@ class Circle(Space):
         return (p + direction * size) % 1.0
 
     def box_cover(self, resolution):
-        return CircleCover(self, resolution)
+        return IntervalCover(self, resolution)
 
     def coord_labels(self):
         return ("t",)
@@ -483,10 +480,6 @@ class BoxCover(ABC):
     def near(self, p: Point, radius: float) -> list[int]:
         """Indices of boxes whose center lies within `radius` of p."""
 
-    @abstractmethod
-    def clamp(self, index: int, p: Point) -> Point:
-        """Point of box `index` as close to p as the grid allows."""
-
     def box_samples(self, index: int, count: int, seed: int = 0) -> list[Point]:
         """Deterministic space members inside box `index`; may fall short of
         `count` (or be empty) when the box barely meets the space."""
@@ -498,109 +491,73 @@ class BoxCover(ABC):
 
 
 class IntervalCover(BoxCover):
-    def __init__(self, space: Interval, resolution: int):
+    """Equal-width boxes on an interval, or on the circle with wrap-around.
+
+    On the circle, [0, 1) with its ends glued, points are reduced mod 1 and
+    center distances go the shorter way round.
+    """
+
+    def __init__(self, space: Interval | Circle, resolution: int):
         if resolution < 1:
             raise ValueError("resolution must be positive")
         self.space = space
         self.resolution = resolution
-        self.width = (space.hi - space.lo) / resolution
+        self.wrap = isinstance(space, Circle)
+        self.lo, hi = (0.0, 1.0) if self.wrap else (space.lo, space.hi)
+        self.width = (hi - self.lo) / resolution
         half = self.width / 2.0
         self.boxes = tuple(
             Box(
                 index=i,
                 key=(i,),
-                center=space.lo + (i + 0.5) * self.width,
+                center=self.lo + (i + 0.5) * self.width,
                 radius=half,
-                lower=(space.lo + i * self.width,),
-                upper=(space.lo + (i + 1) * self.width,),
+                lower=(self.lo + i * self.width,),
+                upper=(self.lo + (i + 1) * self.width,),
             )
             for i in range(resolution)
         )
 
     def locate(self, p):
-        i = int((p - self.space.lo) / self.width)
+        if self.wrap:
+            p = p % 1.0
+        i = int((p - self.lo) / self.width)
         return min(max(i, 0), self.resolution - 1)
 
     def near(self, p, radius):
         if radius < 0.0:
             return []
-        lo = int(math.floor((p - radius - self.space.lo) / self.width - 0.5))
-        hi = int(math.ceil((p + radius - self.space.lo) / self.width - 0.5))
+        n = self.resolution
+        if self.wrap:
+            if 2.0 * radius >= 1.0:  # no circle point is more than 1/2 away
+                return list(range(n))
+            p = p % 1.0
+        lo = int(math.floor((p - radius - self.lo) / self.width - 0.5)) - 1
+        hi = int(math.ceil((p + radius - self.lo) / self.width - 0.5)) + 2
+        if not self.wrap:
+            window = range(max(lo, 0), min(hi, n))
+        elif hi - lo >= n:
+            window = range(n)
+        else:
+            # the window wraps past at most one end; listing the wrapped
+            # part on its own side keeps the indices ascending
+            window = [*range(hi - n), *range(max(lo, 0), min(hi, n)), *range(n + lo, n)]
         out = []
-        for i in range(max(lo - 1, 0), min(hi + 2, self.resolution)):
-            if abs(self.boxes[i].center - p) <= radius:
+        for i in window:
+            d = abs(self.boxes[i].center - p)
+            if self.wrap:
+                d = min(d, 1.0 - d)
+            if d <= radius:
                 out.append(i)
         return out
-
-    def clamp(self, index, p):
-        b = self.boxes[index]
-        top = b.upper[0]
-        if index < self.resolution - 1:
-            top -= self.width * _EDGE_PULLBACK
-        return min(max(p, b.lower[0]), top)
 
     def box_samples(self, index, count, seed=0):
         b = self.boxes[index]
         rng = self._box_rng(index, seed)
         out = [b.center]
         while len(out) < count:
-            out.append(b.lower[0] + rng.random() * self.width)
-        return out[:count]
-
-
-class CircleCover(BoxCover):
-    def __init__(self, space: Circle, resolution: int):
-        if resolution < 1:
-            raise ValueError("resolution must be positive")
-        self.space = space
-        self.resolution = resolution
-        self.width = 1.0 / resolution
-        half = self.width / 2.0
-        self.boxes = tuple(
-            Box(
-                index=i,
-                key=(i,),
-                center=(i + 0.5) * self.width,
-                radius=half,
-                lower=(i * self.width,),
-                upper=((i + 1) * self.width,),
-            )
-            for i in range(resolution)
-        )
-
-    def locate(self, p):
-        i = int((p % 1.0) / self.width)
-        return min(i, self.resolution - 1)
-
-    def near(self, p, radius):
-        if radius < 0.0:
-            return []
-        if 2.0 * radius >= 1.0:
-            return list(range(self.resolution))
-        i0 = self.locate(p)
-        span = int(radius / self.width) + 2
-        out = []
-        for k in range(i0 - span, i0 + span + 1):
-            i = k % self.resolution
-            if self.space.distance(self.boxes[i].center, p % 1.0) <= radius and i not in out:
-                out.append(i)
-        return sorted(out)
-
-    def clamp(self, index, p):
-        p = p % 1.0
-        if self.locate(p) == index:
-            return p
-        b = self.boxes[index]
-        lo = b.lower[0]
-        hi = b.upper[0] - self.width * _EDGE_PULLBACK
-        return lo if self.space.distance(p, lo) <= self.space.distance(p, hi) else hi
-
-    def box_samples(self, index, count, seed=0):
-        b = self.boxes[index]
-        rng = self._box_rng(index, seed)
-        out = [b.center % 1.0]
-        while len(out) < count:
-            out.append((b.lower[0] + rng.random() * self.width) % 1.0)
+            x = b.lower[0] + rng.random() * self.width
+            out.append(x % 1.0 if self.wrap else x)
         return out[:count]
 
 
@@ -654,12 +611,6 @@ class PlaneCover(BoxCover):
                     out.append(b.index)
         return out
 
-    def clamp(self, index, p):
-        b = self.boxes[index]
-        ix, iy = b.key
-        tx = b.upper[0] - (self.wx * _EDGE_PULLBACK if ix < self.resolution - 1 else 0.0)
-        ty = b.upper[1] - (self.wy * _EDGE_PULLBACK if iy < self.resolution - 1 else 0.0)
-        return (min(max(p[0], b.lower[0]), tx), min(max(p[1], b.lower[1]), ty))
 
     def box_samples(self, index, count, seed=0):
         # boundary boxes may hold few members, fully exterior boxes none
@@ -706,8 +657,6 @@ class Sigma2Cover(BoxCover):
     def near(self, p, radius):
         return [b.index for b in self.boxes if self.space.distance(b.center, p) <= radius]
 
-    def clamp(self, index, p):
-        return p.with_head(self.boxes[index].key)
 
     def box_samples(self, index, count, seed=0):
         word = self.boxes[index].key
@@ -749,9 +698,6 @@ class ProductCover(BoxCover):
             for ib in cols
         ]
 
-    def clamp(self, index, p):
-        ia, ib = divmod(index, len(self.right))
-        return (self.left.clamp(ia, p[0]), self.right.clamp(ib, p[1]))
 
     def box_samples(self, index, count, seed=0):
         ia, ib = divmod(index, len(self.right))
@@ -773,9 +719,6 @@ class DiscreteCover(BoxCover):
 
     def near(self, p, radius):
         return [b.index for b in self.boxes if self.space.distance(b.center, p) <= radius]
-
-    def clamp(self, index, p):
-        return index
 
 
 def grid_points(space: Space, resolution: int) -> list[Point]:

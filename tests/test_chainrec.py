@@ -10,9 +10,7 @@ from ifs_shadow import (
     Interval,
     absence_certificate,
     analyze,
-    box_fraction,
     build_chain_graph,
-    chain_distance_scan,
     find_chain,
     make,
 )
@@ -49,7 +47,6 @@ def test_shrink_tower_recurrent_boxes(shrink_tower):
     assert report.recurrent == frozenset({0, 1, 2})
     assert report.components == ((0, 1),)
     assert set(report.self_loops) == {0, 1, 2}
-    assert box_fraction(report) == pytest.approx(0.15)
     assert report.is_recurrent_point(0.02)
     assert not report.is_recurrent_point(0.9)
     assert report.eps == 0.05
@@ -66,6 +63,7 @@ def test_chain_descends_but_never_climbs(shrink_tower):
     assert down.length == len(down.boxes) + 1
 
     assert find_chain(graph, 0.05, 0.9) is None
+    assert find_chain(graph, 0.9, 0.9) is None
     assert absence_certificate(graph, 0.05, 0.9)
     assert not absence_certificate(graph, 0.9, 0.05)
 
@@ -77,12 +75,6 @@ def test_certificate_implies_no_chain(shrink_tower):
         for y in probes:
             if absence_certificate(graph, x, y):
                 assert find_chain(graph, x, y) is None
-
-
-def test_chain_distance_scan_matrix(shrink_tower):
-    ifs, graph = shrink_tower
-    matrix = chain_distance_scan(graph, [0.9], [0.05, 0.9])
-    assert matrix == [[True, False]]
 
 
 def test_edges_grow_with_eps(shrink_tower):
@@ -126,7 +118,6 @@ def test_permutation_components_oracle():
     assert report.components == ((0, 1, 2), (3, 4))
     assert report.self_loops == (5,)
     assert report.recurrent == frozenset(range(6))
-    assert box_fraction(report) == 1.0
 
 
 def test_permutation_chain_is_the_true_orbit():

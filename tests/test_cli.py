@@ -1,6 +1,7 @@
 """End-to-end runs of the command line driver, in process via main(argv)."""
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
@@ -163,6 +164,50 @@ def test_chainrec_reports_missing_chain(tmp_path, capsys) -> None:
     assert "no chain found" in capsys.readouterr().out
     assert (tmp_path / "edges.txt").exists()
     assert not (tmp_path / "chain.tsv").exists()
+
+
+def test_chainrec_default_outputs_are_pinned(tmp_path) -> None:
+    """The circle graph and a wrap-around chain at the default config; the
+    chain follows the order in which the cover lists nearby boxes."""
+    code = main(["chainrec", "--chain-from", "0.95", "--chain-to", "0.03",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("edges.txt", "recurrence.csv", "chain.tsv")
+    }
+    assert digests == {
+        "edges.txt": "1d834bae9c5fed9886e4be27a5db0b10f255149bb7011f70de9d167c7aaba821",
+        "recurrence.csv": "88a776214704824d8d898b05fb9d1b9db212872e2d2de1e329681c1e91a79f21",
+        "chain.tsv": "c447a31090af1913370ee552787a0fc7c7e90b6810fa6560b4611ddee3dff640",
+    }
+
+
+@pytest.mark.parametrize(
+    "example, ends",
+    [
+        ("circle_counterexample", ("0.1,0.1", "0.5")),
+        ("circle_counterexample", ("0.1", "0.5,0.5")),
+        ("sierpinski", ("0.1", "0.5,0.1")),
+    ],
+    ids=["circle-extra-from", "circle-extra-to", "plane-missing-from"],
+)
+def test_chainrec_rejects_wrong_coordinate_count(tmp_path, capsys, example, ends) -> None:
+    code = main(["chainrec", "--example", example, "--resolution", "16",
+                 "--chain-from", ends[0], "--chain-to", ends[1], "--out", str(tmp_path)])
+    assert code == 2
+    assert "comma-separated coordinates" in capsys.readouterr().err
+    assert not (tmp_path / "edges.txt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--streams"])
+def test_counterexample_rejects_empty_sweep(tmp_path, capsys, flag) -> None:
+    code = main(["counterexample", "--block", "2", "--doublings", "2",
+                 flag, "0", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "grid and streams must be positive" in err
+    assert "zero-size" not in err
 
 
 def test_counterexample_small_sweep(tmp_path, capsys) -> None:

@@ -101,6 +101,10 @@ def test_sweep_rejects_degenerate_blocks():
         run_sweep(block=0, doublings=2, grid=4, streams=2)
     with pytest.raises(ValueError):
         run_sweep(block=4, doublings=0, grid=4, streams=2)
+    with pytest.raises(ValueError, match="grid and streams"):
+        run_sweep(block=4, doublings=2, grid=0, streams=2)
+    with pytest.raises(ValueError, match="grid and streams"):
+        run_sweep(block=4, doublings=2, grid=4, streams=0)
 
 
 # (a, block, doublings, capture_steps) at grid 16, 8 streams, seed 5.  With

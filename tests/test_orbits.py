@@ -55,7 +55,8 @@ def test_from_points_computes_the_ledger():
     orbit = PseudoOrbit.from_points(halving_pair(), (0.0, 0.1, 0.55), (1, 2))
     assert orbit.errors == (0.1, 0.0)
     assert orbit.horizon == 2
-    assert orbit.recomputed_errors(halving_pair()) == orbit.errors
+    again = PseudoOrbit.from_points(halving_pair(), orbit.points, orbit.symbols)
+    assert again.errors == orbit.errors
 
 
 def test_orbit_shape_validation():
@@ -177,7 +178,8 @@ def test_uniform_noise_stays_under_delta_each_step():
     orbit = noisy_average_orbit(gasket, (0.25, 0.1), stream, 300, 0.05, seed=8)
     assert orbit.horizon == 300
     assert max(orbit.errors) < 0.05
-    assert orbit.recomputed_errors(gasket) == pytest.approx(orbit.errors, abs=1e-12)
+    recomputed = PseudoOrbit.from_points(gasket, orbit.points, orbit.symbols).errors
+    assert recomputed == pytest.approx(orbit.errors, abs=1e-12)
     assert validate(orbit, 0.05).passed
     again = noisy_average_orbit(gasket, (0.25, 0.1), stream, 300, 0.05, seed=8)
     assert again.points == orbit.points

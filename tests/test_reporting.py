@@ -1,6 +1,7 @@
 """File formats: exact float round trips, atomicity, deterministic bytes."""
 from __future__ import annotations
 
+import math
 import os
 
 import pytest
@@ -189,6 +190,15 @@ def test_rasterize_plane_and_interval():
     pair = halving_pair()
     strip = rasterize(pair, [0.1, 0.2, 0.9], 64)
     assert strip.startswith(b"P5\n64 8\n255\n")
+
+    # circle points are binned mod 1: 1.25 lands with 0.25
+    ring = rasterize(make("circle_counterexample"), [0.05, 0.999, 0.25, 1.25], 16)
+    header = b"P5\n16 2\n255\n"
+    assert ring.startswith(header)
+    row = [0] * 16
+    row[0] = row[15] = 64 + int(191 * math.sqrt(0.5))
+    row[4] = 255
+    assert ring[len(header) :] == bytes(row * 2)
 
 
 def test_rasterize_rejects_sequence_space():

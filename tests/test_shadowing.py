@@ -19,12 +19,10 @@ from ifs_shadow import (
     average_distance_profile,
     brute_force_search,
     constructive_shadow,
-    error_bound,
     exact_orbit,
     grid_points,
     make,
     noisy_average_orbit,
-    plain_shadow_check,
     profile_from_distances,
     tail_statistic,
 )
@@ -53,22 +51,6 @@ def test_tail_statistic_oracle():
 
 def test_profile_from_distances_oracle():
     assert profile_from_distances([1.0, 3.0, 2.0]) == pytest.approx([1.0, 2.0, 2.0])
-
-
-def test_error_bound_oracle():
-    alphas = (0.1, 0.2)
-    assert error_bound(alphas, 0.5, 0.0, 0) == 0.0
-    assert error_bound(alphas, 0.5, 0.0, 1) == 0.1
-    assert error_bound(alphas, 0.5, 0.0, 2) == 0.25
-    assert error_bound((), 0.5, 1.0, 0) == 1.0
-    with pytest.raises(ValueError):
-        error_bound(alphas, 0.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        error_bound(alphas, 1.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        error_bound(alphas, 0.5, 0.0, 3)
-    with pytest.raises(ValueError):
-        error_bound(alphas, 0.5, 0.0, -1)
 
 
 def test_constructive_shadow_matches_hand_ledger():
@@ -140,15 +122,6 @@ def test_average_profile_of_a_parallel_orbit():
     assert report.tail < report.distances[0]
     with pytest.raises(ValueError):
         average_distance_profile(ifs, 0.5, SymbolStream.constant(1), orbit.truncated(9))
-
-
-def test_plain_shadow_check_sup_semantics():
-    ifs = halving_pair()
-    orbit = exact_orbit(ifs, 0.0, SymbolStream.constant(1), 12)
-    good = plain_shadow_check(ifs, orbit, 0.5, SymbolStream.constant(1), eps=0.5)
-    assert good.passed and good.max_deviation == 0.5
-    tight = plain_shadow_check(ifs, orbit, 0.5, SymbolStream.constant(1), eps=0.49)
-    assert not tight.passed
 
 
 # --------------------------------------------------------------------------

@@ -157,27 +157,34 @@ def test_locate_finds_each_center(cover_case):
         assert cover.locate(box.center) == box.index
 
 
-def test_clamp_lands_in_target_box(cover_case):
-    space, cover = cover_case
-    rng = Random(0xC1A)
-    for _ in range(30):
-        p = space.sample(rng)
-        for box in cover.boxes[:: max(1, len(cover) // 7)]:
-            q = cover.clamp(box.index, p)
-            assert cover.locate(q) == box.index
-
-
 def test_near_matches_brute_force_center_filter(cover_case):
     space, cover = cover_case
     rng = Random(0x5CAB)
     for _ in range(12):
         p = space.sample(rng)
         radius = rng.uniform(0.0, 0.6 * space.diameter())
-        expected = {
-            b.index for b in cover.boxes if space.distance(b.center, p) <= radius
-        }
-        assert set(cover.near(p, radius)) == expected
+        # ascending: box-graph searches visit the boxes in this order
+        expected = [b.index for b in cover.boxes if space.distance(b.center, p) <= radius]
+        assert cover.near(p, radius) == expected
         assert cover.near(p, -1.0) == []
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 3, 2048])
+def test_circle_near_wraps_around_in_ascending_order(resolution):
+    circle = Circle()
+    cover = circle.box_cover(resolution)
+    width = 1.0 / resolution
+    points = [0.0, 1e-9, 0.5 * width, width, 0.5, 1.0 - 0.5 * width, 1.0 - 1e-9, -0.01, 1.3]
+    radii = [0.0, 1e-6, 0.5 * width, width, 2.5 * width, 0.25, math.nextafter(0.5, 0.0), 0.5]
+    straddled = 0
+    for p in points:
+        for radius in radii:
+            expected = [
+                b.index for b in cover.boxes if circle.distance(b.center, p % 1.0) <= radius
+            ]
+            assert cover.near(p, radius) == expected, (p, radius)
+            straddled += 0 in expected and resolution - 1 in expected
+    assert straddled > 0  # some windows hold the boxes on both sides of 0
 
 
 def test_box_samples_stay_in_their_box(cover_case):
@@ -232,6 +239,3 @@ def test_sigma2_cover_is_cylinder_indexed_by_word():
     assert cover.boxes[5].key == (1, 0, 1)
     s = BinarySeq((1, 0, 1, 1), (0, 1))
     assert cover.locate(s) == 5
-    clamped = cover.clamp(2, s)
-    assert clamped.take(3) == (0, 1, 0)
-    assert clamped.item(3) == s.item(3)  # tail preserved
