@@ -9,6 +9,7 @@ whose witness points chain together into a genuine eps-pseudo-orbit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleParameterError
@@ -46,8 +47,8 @@ def build_chain_graph(
     samples_per_box: int = 3,
     seed: int = 0,
 ) -> ChainGraph:
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if samples_per_box < 1:
         raise ValueError("need at least one sample per box")
     use = tuple(labels) if labels is not None else ifs.labels
@@ -257,6 +258,8 @@ def absence_certificate(graph: ChainGraph, x: Point, y: Point) -> bool:
     space = ifs.space
     cover = graph.cover
     slack = graph.eps + cover.boxes[0].radius
+    space.check_point(x)
+    space.check_point(y)
     target = cover.locate(y)
 
     seen: set[int] = set()

@@ -19,7 +19,7 @@ from .counterexample import run_sweep
 from .errors import IfsShadowError
 from .orbits import BurstNoise, UniformNoise, noisy_average_orbit, validate
 from .seeding import mix_seed
-from .shadowing import GreedySearch, brute_force_search, constructive_shadow
+from .shadowing import GreedySearch, brute_force_search, constructive_shadow, shadow_delta
 from .spaces import grid_points
 from .systems import SymbolStream
 
@@ -207,9 +207,7 @@ def _cmd_shadow(args, config) -> int:
     out = _ensure_out(_pick(args.out, config, "out", os.environ.get(_OUT_ENV, "."), str))
 
     ifs = make(name, **params)
-    if ifs.ratio is None:
-        raise IfsShadowError(f"{ifs.name} has no analytic contraction ratio")
-    delta = (1.0 - ifs.ratio) * eps / 2.0
+    delta = shadow_delta(ifs, eps)
     start = ifs.space.sample(Random(mix_seed(seed, 1)))
     stream = SymbolStream.random(ifs.labels, mix_seed(seed, 2))
     orbit = noisy_average_orbit(
@@ -278,8 +276,10 @@ def _cmd_chainrec(args, config) -> int:
     seed = _pick(args.seed, config, "seed", 0, int)
     out = _ensure_out(_pick(args.out, config, "out", os.environ.get(_OUT_ENV, "."), str))
 
+    if bool(chain_from) != bool(chain_to):
+        raise ValueError("--chain-from and --chain-to must be given together")
     ifs = make(name, **params)
-    ends = _parse_endpoints(ifs.space, chain_from, chain_to) if chain_from and chain_to else None
+    ends = _parse_endpoints(ifs.space, chain_from, chain_to) if chain_from else None
     labels = None
     if maps_spec:
         labels = tuple(reporting.decode_label(tok) for tok in maps_spec.split(";") if tok)

@@ -22,12 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import circle_polynomials, make
+from .errors import BudgetExceededError
 from .orbits import AverageValidation, PseudoOrbit, block_switching_orbit, block_switching_points, validate
 from .seeding import indexed_words, mix_seed
 from .spaces import Circle
 
 _STREAM_TAG = 0x57E4
 _FREEZE_CHECK_EVERY = 64  # steps between tests for a fully frozen state array
+# Size guards, checked before anything is allocated: the default sweep
+# (horizon 49 152, 64 streams) sits about 40 times below both.
+_MAX_HORIZON = 1 << 21
+_MAX_HORIZON_STREAMS = 1 << 27
 
 
 def stream_seed(base: int, column: int) -> int:
@@ -97,7 +102,16 @@ def run_sweep(
         raise ValueError("block and doublings must be positive")
     if grid < 1 or streams < 1:
         raise ValueError("grid and streams must be positive")
+    # the exponent test comes first so a huge `doublings` builds no huge int
+    if doublings >= _MAX_HORIZON.bit_length() or 3 * (2**doublings) * block > _MAX_HORIZON:
+        raise BudgetExceededError(
+            f"block {block} with {doublings} doublings exceeds the sweep horizon budget {_MAX_HORIZON}"
+        )
     horizon = 3 * (2**doublings) * block
+    if horizon * streams > _MAX_HORIZON_STREAMS:
+        raise BudgetExceededError(
+            f"horizon {horizon} times {streams} streams exceeds the sweep budget {_MAX_HORIZON_STREAMS}"
+        )
     circle = Circle()
     separation = circle.distance(0.0, a)
     delta = 3.0 * separation / block + margin

@@ -34,6 +34,8 @@ class PseudoOrbit:
             raise ValueError("need exactly one more point than symbols")
         if len(self.errors) != len(self.symbols):
             raise ValueError("need one error entry per step")
+        for p in self.points:
+            self.space.check_point(p)
 
     @property
     def horizon(self) -> int:
@@ -90,9 +92,11 @@ ValidationMode = Literal["plain", "average", "average_shifted"]
 
 def validate(orbit: PseudoOrbit, delta: float, mode: ValidationMode = "average"):
     """Check the error ledger against delta in the requested mode."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     alphas = np.asarray(orbit.errors, dtype=float)
+    if np.isnan(alphas).any():
+        raise ValueError("the error ledger contains NaN")
     if mode == "plain":
         worst = float(alphas.max()) if alphas.size else 0.0
         return PlainValidation(delta=delta, passed=bool(worst < delta), max_error=worst)
@@ -136,6 +140,8 @@ def validate(orbit: PseudoOrbit, delta: float, mode: ValidationMode = "average")
 
 def exact_orbit(ifs: IFSystem, start: Point, stream: SymbolStream, horizon: int) -> PseudoOrbit:
     """True orbit: zero error at every step."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     points = [start]
     symbols = []
     p = start
@@ -180,8 +186,10 @@ def noisy_average_orbit(
     seed: int = 0,
 ) -> PseudoOrbit:
     """Seeded on-average pseudo-orbit; the returned ledger validates at delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     if isinstance(model, BurstNoise):
         if model.period < 1:
             raise InfeasibleParameterError("burst period must be >= 1")

@@ -245,6 +245,8 @@ def write_points(path: str, space: Space, points: Sequence[Point], config: dict 
 
 def rasterize(ifs: IFSystem, points: Iterable[Point], resolution: int) -> bytes:
     """P5 grayscale image of a point cloud; intensity scales with sqrt(hits)."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be positive, got {resolution}")
     space = ifs.space
     if isinstance(space, PlaneRegion):
         width = height = resolution

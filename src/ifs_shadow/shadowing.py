@@ -92,6 +92,18 @@ def _report(
     )
 
 
+def shadow_delta(ifs: IFSystem, eps: float) -> float:
+    """Validation level delta = (1-beta)*eps/2 at which constructive_shadow
+    tracks a pseudo-orbit within eps; needs an analytic contraction ratio."""
+    if ifs.ratio is None:
+        raise ValidationFailedError(
+            f"{ifs.name} has no analytic contraction ratio for constructive shadowing"
+        )
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    return (1.0 - ifs.ratio) * eps / 2.0
+
+
 def constructive_shadow(
     ifs: IFSystem, orbit: PseudoOrbit, eps: float, window: float = DEFAULT_WINDOW
 ) -> ShadowReport:
@@ -102,12 +114,8 @@ def constructive_shadow(
     per-step ledger and the telescoped cumulative bound
     sum d_i <= (gap + sum a_i) / (1-beta).
     """
-    if ifs.ratio is None:
-        raise ValidationFailedError("constructive shadowing needs an analytic contraction ratio")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    delta = shadow_delta(ifs, eps)
     beta = ifs.ratio
-    delta = (1.0 - beta) * eps / 2.0
     check = validate(orbit, delta, "average")
     if not check.passed:
         raise ValidationFailedError(
@@ -147,6 +155,7 @@ def average_distance_profile(
     """Track `orbit` with the orbit of `start` under `stream`."""
     if orbit.horizon < 10:
         raise ValueError("profiles need a horizon of at least 10 steps")
+    ifs.space.check_point(start)
     symbols = stream.prefix(orbit.horizon)
     return _report(ifs, start, symbols, orbit, window)
 
@@ -190,6 +199,8 @@ def brute_force_search(
     if not candidates:
         raise ValueError("need at least one candidate start point")
     space = ifs.space
+    for z in candidates:
+        space.check_point(z)
     horizon = orbit.horizon
     evaluations = 0
 

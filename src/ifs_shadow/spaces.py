@@ -22,7 +22,14 @@ Point = object
 
 
 class Space(ABC):
-    """Common protocol for all point spaces."""
+    """Common protocol for all point spaces.
+
+    `distance`, `perturb` and `jump` assume points that have been checked:
+    `check_point` runs once where a point enters the library (orbit records,
+    search candidates, tracking starts, chain endpoints, sampler starts), and
+    these inner operations do not repeat it.  A point of the wrong shape
+    passed to them directly gets no SpaceMismatchError.
+    """
 
     @abstractmethod
     def check_point(self, p: Point) -> None:
@@ -89,8 +96,6 @@ class Interval(Space):
         _require_real(self, p)
 
     def distance(self, p, q):
-        self.check_point(p)
-        self.check_point(q)
         return abs(p - q)
 
     def diameter(self):
@@ -103,11 +108,9 @@ class Interval(Space):
         return rng.uniform(self.lo, self.hi)
 
     def perturb(self, p, magnitude, rng):
-        self.check_point(p)
         return min(self.hi, max(self.lo, p + rng.uniform(-magnitude, magnitude)))
 
     def jump(self, p, size, rng):
-        self.check_point(p)
         up, down = p + size <= self.hi, p - size >= self.lo
         if up and down:
             return p + size if rng.random() < 0.5 else p - size
@@ -146,8 +149,6 @@ class Circle(Space):
         _require_real(self, p)
 
     def distance(self, p, q):
-        self.check_point(p)
-        self.check_point(q)
         u = abs(p - q)
         return min(u, 1.0 - u)
 
@@ -161,11 +162,9 @@ class Circle(Space):
         return rng.random()
 
     def perturb(self, p, magnitude, rng):
-        self.check_point(p)
         return (p + rng.uniform(-magnitude, magnitude)) % 1.0
 
     def jump(self, p, size, rng):
-        self.check_point(p)
         direction = 1.0 if rng.random() < 0.5 else -1.0
         return (p + direction * size) % 1.0
 
@@ -207,8 +206,6 @@ class PlaneRegion(Space):
                 raise SpaceMismatchError(f"{self.describe()} expects real pairs, got {p!r}")
 
     def distance(self, p, q):
-        self.check_point(p)
-        self.check_point(q)
         return math.hypot(p[0] - q[0], p[1] - q[1])
 
     def diameter(self):
@@ -233,7 +230,6 @@ class PlaneRegion(Space):
         raise ValueError(f"could not sample a member point of {self.describe()}")
 
     def perturb(self, p, magnitude, rng):
-        self.check_point(p)
         for attempt in range(64):
             shrink = 0.5 ** (attempt // 16)
             theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -244,7 +240,6 @@ class PlaneRegion(Space):
         return p
 
     def jump(self, p, size, rng):
-        self.check_point(p)
         for attempt in range(96):
             shrink = 0.7 ** (attempt // 12)
             theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -279,8 +274,6 @@ class Sigma2(Space):
             raise SpaceMismatchError(f"binary-sequence space expects BinarySeq, got {p!r}")
 
     def distance(self, p, q):
-        self.check_point(p)
-        self.check_point(q)
         return sequence_distance(p, q)
 
     def diameter(self):
@@ -303,7 +296,6 @@ class Sigma2(Space):
         return j
 
     def perturb(self, p, magnitude, rng):
-        self.check_point(p)
         if magnitude <= 0.0:
             return p
         return p.with_flipped(self._flip_index(magnitude))
@@ -342,8 +334,6 @@ class DiscretePoints(Space):
             raise SpaceMismatchError(f"discrete space expects int labels, got {p!r}")
 
     def distance(self, p, q):
-        self.check_point(p)
-        self.check_point(q)
         return 0.0 if p == q else 1.0
 
     def diameter(self):
@@ -356,7 +346,6 @@ class DiscretePoints(Space):
         return rng.randrange(self.size)
 
     def perturb(self, p, magnitude, rng):
-        self.check_point(p)
         if magnitude >= 1.0 and self.size > 1:
             q = rng.randrange(self.size - 1)
             return q if q < p else q + 1
@@ -394,8 +383,6 @@ class ProductSpace(Space):
         self.second.check_point(p[1])
 
     def distance(self, p, q):
-        self.check_point(p)
-        self.check_point(q)
         return max(self.first.distance(p[0], q[0]), self.second.distance(p[1], q[1]))
 
     def diameter(self):
@@ -413,14 +400,12 @@ class ProductSpace(Space):
         return (self.first.sample(rng), self.second.sample(rng))
 
     def perturb(self, p, magnitude, rng):
-        self.check_point(p)
         return (
             self.first.perturb(p[0], magnitude, rng),
             self.second.perturb(p[1], magnitude, rng),
         )
 
     def jump(self, p, size, rng):
-        self.check_point(p)
         return (self.first.jump(p[0], size, rng), self.second.jump(p[1], size, rng))
 
     def box_cover(self, resolution):

@@ -5,6 +5,7 @@ import hashlib
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ifs_shadow import load_orbit, make, validate
 from ifs_shadow.cli import main
@@ -247,3 +248,103 @@ def test_verify_writes_report_and_flags_failure(tmp_path, capsys) -> None:
     assert "criterion 5: FAIL" in text
     assert "summary: 6/7 criteria passed" in text
     assert text in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--chain-from", "--chain-to"])
+def test_chainrec_needs_both_chain_endpoints(tmp_path, capsys, flag) -> None:
+    code = main(["chainrec", "--resolution", "16", flag, "0.1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "--chain-from and --chain-to" in capsys.readouterr().err
+    assert not (tmp_path / "edges.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["orbit", "--delta", "nan"], "delta"),
+        (["orbit", "--delta", "inf"], "delta"),
+        (["orbit", "--horizon", "-3"], "horizon"),
+        (["shadow", "--horizon", "-5", "--search", "none"], "horizon"),
+        (["shadow", "--eps", "nan", "--search", "none"], "eps"),
+        (["shadow", "--eps", "inf", "--search", "none"], "eps"),
+        (["chainrec", "--eps", "nan", "--resolution", "16"], "eps"),
+    ],
+    ids=["orbit-delta-nan", "orbit-delta-inf", "orbit-horizon", "shadow-horizon",
+         "shadow-eps-nan", "shadow-eps-inf", "chainrec-eps-nan"],
+)
+def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv, name) -> None:
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert name in err
+
+
+@pytest.mark.parametrize("resolution", [0, -4])
+def test_attractor_rejects_resolution_below_one(tmp_path, capsys, resolution) -> None:
+    code = main(["attractor", "--iterations", "200", "--resolution", str(resolution),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "resolution must be positive" in capsys.readouterr().err
+    assert (tmp_path / "attractor_points.tsv").exists()
+    assert not (tmp_path / "attractor.pgm").exists()
+
+
+def test_counterexample_budget_stops_huge_doublings(tmp_path, capsys) -> None:
+    code = main(["counterexample", "--doublings", "60", "--out", str(tmp_path)])
+    assert code == 1
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (["shadow", "--horizon", "300", "--candidates", "8"], {
+            "shadow_constructive.csv": "a79d464ce93329e2ec348c979ca4b6be460a51fe19eef6129f6aecb37024f3f9",
+            "shadow_search.csv": "c053338aa95d7e423545cdb73de8b33b258466545ef8d49de1b406d432d9335b",
+        }),
+        (["shadow", "--example", "minimal_pair", "--horizon", "300", "--candidates", "16"], {
+            "shadow_constructive.csv": "ec46c543d743212f2aa93b7c523ba098a5298400a8fae9941d93baf98da71220",
+            "shadow_search.csv": "03e37cfef3bcda86b2e180346b6eb7fc6d78b9458322b511f1e1429cede20fcf",
+        }),
+        (["orbit", "--example", "sigma2_shift", "--horizon", "300", "--mode", "average_shifted"], {
+            "orbit.tsv": "b464e36b5c719092dd70f6abbee36d9fc4030df7634cd9f3ba531102d10c170f",
+        }),
+        (["orbit", "--example", "finite_set", "--horizon", "200", "--noise", "burst",
+          "--jump-factor", "1", "--period", "40"], {
+            "orbit.tsv": "5f287530d716c18e7f6f3632537dbb0b1d705d36815d7fa88c735ecb576fc4d1",
+        }),
+    ],
+    ids=["shadow-gasket", "shadow-interval", "orbit-sigma2", "orbit-finite-set"],
+)
+def test_per_point_outputs_are_pinned(tmp_path, argv, digests) -> None:
+    """Runs through every space whose point checks sit at the entry points."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests
+    } == digests
+
+
+_FUZZ_FLOATS = st.sampled_from(["nan", "inf", "-inf", "-3", "0", "0.05", "0.3"])
+_FUZZ_SIZES = st.sampled_from(["nan", "-3", "0", "1", "2"])  # tiny, so every run is quick
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_parameters_never_raise(tmp_path, data) -> None:
+    """Bad numbers end in a documented exit code, never in a traceback."""
+    command, knob, size = data.draw(st.sampled_from([
+        ("orbit", "--delta", "--horizon"),
+        ("shadow", "--eps", "--horizon"),
+        ("chainrec", "--eps", "--resolution"),
+        ("attractor", "--iterations", "--resolution"),
+    ]))
+    values = _FUZZ_SIZES if command == "attractor" else _FUZZ_FLOATS
+    argv = [command, knob, data.draw(values), size, data.draw(_FUZZ_SIZES),
+            "--out", str(tmp_path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a non-integer for an int flag
+        code = exc.code
+    assert code in (0, 1, 2, 3)

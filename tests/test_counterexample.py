@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ifs_shadow import (
+    BudgetExceededError,
     Circle,
     SymbolStream,
     block_switching_points,
@@ -105,6 +106,16 @@ def test_sweep_rejects_degenerate_blocks():
         run_sweep(block=4, doublings=2, grid=0, streams=2)
     with pytest.raises(ValueError, match="grid and streams"):
         run_sweep(block=4, doublings=2, grid=4, streams=0)
+
+
+@pytest.mark.parametrize(
+    "block, doublings, streams",
+    [(16, 60, 64), (16, 10**9, 64), (1 << 20, 1, 64), (16, 10, 4096)],
+    ids=["doublings-60", "doublings-1e9", "long-block", "too-many-streams"],
+)
+def test_sweep_budget_is_checked_before_allocating(block, doublings, streams):
+    with pytest.raises(BudgetExceededError, match="budget"):
+        run_sweep(block=block, doublings=doublings, grid=4, streams=streams)
 
 
 # (a, block, doublings, capture_steps) at grid 16, 8 streams, seed 5.  With

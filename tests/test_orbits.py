@@ -1,6 +1,7 @@
 """Pseudo-orbit ledgers, validation modes, and orbit generators."""
 from __future__ import annotations
 
+import math
 from random import Random
 
 import pytest
@@ -156,6 +157,12 @@ def test_validate_rejects_bad_arguments():
         validate(orbit, -0.3, mode="plain")
     with pytest.raises(ValueError):
         validate(orbit, 0.1, mode="sup")
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta"):
+            validate(orbit, delta)
+    for mode in ("plain", "average", "average_shifted"):
+        with pytest.raises(ValueError, match="NaN"):
+            validate(ledger_orbit((0.01, math.nan, 0.01)), 0.1, mode)
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +177,15 @@ def test_exact_orbit_has_zero_ledger():
     assert orbit.points[2] == 0.75
     assert orbit.symbols == (1, 2) * 5
     assert validate(orbit, 1e-12, mode="plain").passed
+
+
+def test_generators_reject_negative_horizon():
+    ifs = halving_pair()
+    stream = SymbolStream.periodic((1, 2))
+    with pytest.raises(ValueError, match="horizon"):
+        exact_orbit(ifs, 0.5, stream, -1)
+    with pytest.raises(ValueError, match="horizon"):
+        noisy_average_orbit(ifs, 0.5, stream, -3, 0.1)
 
 
 def test_uniform_noise_stays_under_delta_each_step():

@@ -13,8 +13,14 @@ from ifs_shadow import (
     Interval,
     PlaneRegion,
     ProductSpace,
+    PseudoOrbit,
     Sigma2,
     SpaceMismatchError,
+    SymbolStream,
+    absence_certificate,
+    brute_force_search,
+    build_chain_graph,
+    exact_orbit,
     grid_points,
     make,
 )
@@ -90,12 +96,18 @@ def test_interval_rejects_degenerate_bounds():
 
 
 def test_type_checks_raise_mismatch():
+    """Wrong shapes are rejected where points enter: orbit records, search
+    candidates and chain endpoints."""
     with pytest.raises(SpaceMismatchError):
-        Interval(0.0, 1.0).distance(0.5, "x")
+        PseudoOrbit(space=Interval(0.0, 1.0), points=(0.5, "x"), symbols=(0,), errors=(0.0,))
+    shift = make("sigma2_shift")
+    orbit = exact_orbit(shift, BinarySeq((), (0,)), SymbolStream.constant(shift.labels[0]), 4)
     with pytest.raises(SpaceMismatchError):
-        Sigma2().distance(BinarySeq((), (0,)), 0.5)
+        brute_force_search(shift, orbit, [BinarySeq((), (0,)), 0.5])
+    graph = build_chain_graph(make("finite_set", n=3), 0.5, 1)
+    assert graph.cover.space == DiscretePoints(3)
     with pytest.raises(SpaceMismatchError):
-        DiscretePoints(3).distance(0, True)
+        absence_certificate(graph, 0, True)
 
 
 def test_circle_jump_moves_exactly_size():
