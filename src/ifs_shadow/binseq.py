@@ -9,26 +9,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-
-def _primitive_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(cycle)
-    for period in range(1, n + 1):
-        if n % period:
-            continue
-        if cycle == cycle[:period] * (n // period):
-            return cycle[:period]
-    return cycle
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _canonical(prefix: tuple[int, ...], cycle: tuple[int, ...]):
-    cycle = _primitive_cycle(cycle)
-    prefix = list(prefix)
-    # absorb prefix symbols that merely restate the tail, so equal sequences
-    # share one representation
-    while prefix and prefix[-1] == cycle[-1]:
-        prefix.pop()
-        cycle = cycle[-1:] + cycle[:-1]
-    return tuple(prefix), cycle
+    code = bytes(cycle)
+    # the shortest rotation that maps the cycle onto itself is its primitive period
+    period = (code + code).find(code, 1)
+    cycle = cycle[:period]
+    if prefix and prefix[-1] == cycle[-1]:
+        # absorb the k prefix symbols that restate the cycle read backwards, so equal
+        # sequences share one form: k counts the trailing zero bytes of the XOR below
+        tail = code[:period] * (len(prefix) // period + 1)
+        diff = int.from_bytes(bytes(prefix), "big") ^ int.from_bytes(tail[-len(prefix):], "big")
+        k = ((diff & -diff).bit_length() - 1) // 8 if diff else len(prefix)
+        start = period - k % period
+        prefix, cycle = prefix[: len(prefix) - k], cycle[start:] + cycle[:start]
+    return prefix, cycle
 
 
 @dataclass(frozen=True)
@@ -39,12 +36,16 @@ class BinarySeq:
     cycle: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if not self.cycle:
+        prefix, cycle = tuple(self.prefix), tuple(self.cycle)
+        if not cycle:
             raise ValueError("cycle must be non-empty")
-        for bit in self.prefix + self.cycle:
-            if bit not in (0, 1):
-                raise ValueError(f"symbols must be 0 or 1, got {bit!r}")
-        prefix, cycle = _canonical(tuple(self.prefix), tuple(self.cycle))
+        try:
+            other = (bytes(prefix) + bytes(cycle)).translate(None, b"\0\1")
+        except (TypeError, ValueError) as exc:  # floats, strings, ints outside 0..255
+            raise ValueError(f"symbols must be 0 or 1: {exc}") from None
+        if other:
+            raise ValueError(f"symbols must be 0 or 1, got {other[0]}")
+        prefix, cycle = _canonical(prefix, cycle)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
 
@@ -56,7 +57,8 @@ class BinarySeq:
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
     def take(self, n: int) -> tuple[int, ...]:
-        return tuple(self.item(i) for i in range(n))
+        repeats = max(n - len(self.prefix), 0) // len(self.cycle) + 1
+        return (self.prefix + self.cycle * repeats)[: max(n, 0)]
 
     def first_difference(self, other: BinarySeq) -> int | None:
         """Index of the first disagreeing symbol, or None when equal.
@@ -83,29 +85,23 @@ class BinarySeq:
             return BinarySeq(self.prefix[1:], self.cycle)
         return BinarySeq((), self.cycle[1:] + self.cycle[:1])
 
-    def with_head(self, head: tuple[int, ...]) -> BinarySeq:
-        """Copy with the first len(head) symbols replaced by `head`."""
-        n = max(len(head), len(self.prefix))
-        symbols = list(self.take(n))
-        symbols[: len(head)] = list(head)
-        start = (n - len(self.prefix)) % len(self.cycle)
-        return BinarySeq(tuple(symbols), self.cycle[start:] + self.cycle[:start])
-
     def with_flipped(self, i: int) -> BinarySeq:
         """Copy with symbol i replaced by its complement."""
-        head = list(self.take(i + 1))
-        head[i] ^= 1
-        return self.with_head(tuple(head))
+        # unroll the cycle through symbol i, so the flip lands in the prefix
+        head = self.take(i + 1) if i >= len(self.prefix) else self.prefix
+        start = (len(head) - len(self.prefix)) % len(self.cycle)
+        flipped = head[:i] + (self.item(i) ^ 1,) + head[i + 1 :]  # item rejects i < 0
+        return BinarySeq(flipped, self.cycle[start:] + self.cycle[:start])
 
     def __str__(self) -> str:
-        return "".join(map(str, self.prefix)) + "|" + "".join(map(str, self.cycle))
+        return (bytes(self.prefix) + b"|" + bytes(self.cycle)).translate(_DIGITS).decode()
 
     @classmethod
     def from_string(cls, text: str) -> BinarySeq:
         head, sep, tail = text.partition("|")
         if not sep or not tail:
             raise ValueError(f"expected 'prefix|cycle', got {text!r}")
-        return cls(tuple(int(c) for c in head), tuple(int(c) for c in tail))
+        return cls(tuple(map(int, head)), tuple(map(int, tail)))
 
 
 def sequence_distance(s: BinarySeq, t: BinarySeq) -> float:

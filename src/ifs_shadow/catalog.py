@@ -14,11 +14,15 @@ from random import Random
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .seeding import mix_seed
 from .spaces import Circle, DiscretePoints, Interval, PlaneRegion, Point, Sigma2, Space
 from .systems import IFSystem
 
 _SQRT3 = math.sqrt(3.0)
+# Size guard for `chaos_game`, which keeps every point: the CLI default of
+# 20 000 iterations sits 52 times below it.
+_MAX_ITERATIONS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -391,6 +395,10 @@ def chaos_game(
     """Random-composition orbit after burn-in; the classic attractor sampler."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if iterations > _MAX_ITERATIONS:
+        raise BudgetExceededError(
+            f"{iterations} iterations exceed the chaos-game budget {_MAX_ITERATIONS}"
+        )
     ifs.space.check_point(start)
     rng = Random(mix_seed(seed, 0xC0DE))
     out = []

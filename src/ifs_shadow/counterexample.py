@@ -30,9 +30,10 @@ from .spaces import Circle
 _STREAM_TAG = 0x57E4
 _FREEZE_CHECK_EVERY = 64  # steps between tests for a fully frozen state array
 # Size guards, checked before anything is allocated: the default sweep
-# (horizon 49 152, 64 streams) sits about 40 times below both.
+# (horizon 49 152, grid 512, 64 streams) sits at least 40 times below each.
 _MAX_HORIZON = 1 << 21
 _MAX_HORIZON_STREAMS = 1 << 27
+_MAX_GRID_STREAMS = 1 << 21
 
 
 def stream_seed(base: int, column: int) -> int:
@@ -106,6 +107,10 @@ def run_sweep(
     if doublings >= _MAX_HORIZON.bit_length() or 3 * (2**doublings) * block > _MAX_HORIZON:
         raise BudgetExceededError(
             f"block {block} with {doublings} doublings exceeds the sweep horizon budget {_MAX_HORIZON}"
+        )
+    if grid * streams > _MAX_GRID_STREAMS:
+        raise BudgetExceededError(
+            f"grid {grid} times {streams} streams exceeds the sweep budget {_MAX_GRID_STREAMS}"
         )
     horizon = 3 * (2**doublings) * block
     if horizon * streams > _MAX_HORIZON_STREAMS:

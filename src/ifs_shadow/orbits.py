@@ -45,10 +45,16 @@ class PseudoOrbit:
     def from_points(cls, ifs: IFSystem, points, symbols) -> "PseudoOrbit":
         points = tuple(points)
         symbols = tuple(symbols)
-        errors = tuple(
-            ifs.space.distance(ifs.apply(symbols[i], points[i]), points[i + 1])
-            for i in range(len(symbols))
-        )
+        try:
+            errors = tuple(
+                ifs.space.distance(ifs.apply(symbols[i], points[i]), points[i + 1])
+                for i in range(len(symbols))
+            )
+        except (TypeError, AttributeError):
+            # a point of the wrong shape fails inside distance; report it as a mismatch
+            for p in points:
+                ifs.space.check_point(p)
+            raise
         return cls(space=ifs.space, points=points, symbols=symbols, errors=errors)
 
     def map_points(self, fn: Callable[[Point], Point], ifs: IFSystem) -> "PseudoOrbit":
@@ -191,6 +197,8 @@ def noisy_average_orbit(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if isinstance(model, BurstNoise):
+        if not model.jump >= 0.0:
+            raise ValueError(f"burst jump must be >= 0, got {model.jump!r}")
         if model.period < 1:
             raise InfeasibleParameterError("burst period must be >= 1")
         if model.jump / model.period >= delta:

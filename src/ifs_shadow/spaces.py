@@ -15,7 +15,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from .binseq import BinarySeq, sequence_distance
-from .errors import SpaceMismatchError
+from .errors import BudgetExceededError, SpaceMismatchError
 from .seeding import mix_seed
 
 Point = object
@@ -475,6 +475,16 @@ class BoxCover(ABC):
         return Random(mix_seed(seed, index, 0xB0DE5))
 
 
+# Size guard, checked before a cover allocates its boxes: Sigma2's cap of 2**20
+# cylinders sits 64 times below it, the CLI defaults (at most 65 536 boxes) far more.
+_MAX_BOXES = 1 << 26
+
+
+def _check_box_count(count: int) -> None:
+    if count > _MAX_BOXES:
+        raise BudgetExceededError(f"{count} boxes exceed the cover budget {_MAX_BOXES}")
+
+
 class IntervalCover(BoxCover):
     """Equal-width boxes on an interval, or on the circle with wrap-around.
 
@@ -485,6 +495,7 @@ class IntervalCover(BoxCover):
     def __init__(self, space: Interval | Circle, resolution: int):
         if resolution < 1:
             raise ValueError("resolution must be positive")
+        _check_box_count(resolution)
         self.space = space
         self.resolution = resolution
         self.wrap = isinstance(space, Circle)
@@ -550,6 +561,7 @@ class PlaneCover(BoxCover):
     def __init__(self, space: PlaneRegion, resolution: int):
         if resolution < 1:
             raise ValueError("resolution must be positive")
+        _check_box_count(resolution * resolution)
         self.space = space
         self.resolution = resolution
         self.wx = (space.x1 - space.x0) / resolution
@@ -659,6 +671,7 @@ class ProductCover(BoxCover):
         self.resolution = resolution
         self.left = space.first.box_cover(resolution)
         self.right = space.second.box_cover(resolution)
+        _check_box_count(len(self.left) * len(self.right))
         boxes = []
         for a in self.left.boxes:
             for b in self.right.boxes:

@@ -1,8 +1,11 @@
 """Exact arithmetic on eventually periodic binary sequences."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+from math import lcm
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ifs_shadow import BinarySeq, sequence_distance
 
@@ -26,6 +29,8 @@ def test_item_and_take():
     assert s.item(7) == 0
     with pytest.raises(IndexError):
         s.item(-1)
+    with pytest.raises(IndexError):
+        s.with_flipped(-1)
 
 
 def test_cycle_must_be_nonempty_and_binary():
@@ -33,6 +38,18 @@ def test_cycle_must_be_nonempty_and_binary():
         BinarySeq((), ())
     with pytest.raises(ValueError):
         BinarySeq((2,), (0,))
+
+
+def test_symbols_must_round_trip_through_text():
+    """A float symbol would print as '1.0', which `from_string` cannot read."""
+    for prefix in ((1.0,), (0, 0.0), ("1",), (-1,), (256,)):
+        with pytest.raises(ValueError, match="symbols must be 0 or 1"):
+            BinarySeq(prefix, (0,))
+    with pytest.raises(ValueError):
+        BinarySeq((), (1.0,))
+    s = BinarySeq((True, False), (True,))
+    assert str(s) == "10|1"
+    assert BinarySeq.from_string(str(s)) == s
 
 
 def test_distance_worked_example():
@@ -95,14 +112,6 @@ def test_flip_moves_by_exactly_its_scale(s: BinarySeq, i: int):
     assert flipped.with_flipped(i) == s
 
 
-def test_with_head_overwrites_leading_symbols():
-    s = BinarySeq((), (0,))
-    out = s.with_head((1, 1, 0, 1))
-    assert out.take(6) == (1, 1, 0, 1, 0, 0)
-    # the far tail is untouched
-    assert out.item(50) == 0
-
-
 @given(seqs)
 def test_string_round_trip(s: BinarySeq):
     assert BinarySeq.from_string(str(s)) == s
@@ -113,3 +122,111 @@ def test_from_string_rejects_malformed_text():
         BinarySeq.from_string("0101")
     with pytest.raises(ValueError):
         BinarySeq.from_string("01|")
+
+
+def _primitive_cycle(cycle):
+    n = len(cycle)
+    for period in range(1, n + 1):
+        if n % period:
+            continue
+        if cycle == cycle[:period] * (n // period):
+            return cycle[:period]
+    return cycle
+
+
+def _canonical(prefix, cycle):
+    cycle = _primitive_cycle(cycle)
+    prefix = list(prefix)
+    while prefix and prefix[-1] == cycle[-1]:
+        prefix.pop()
+        cycle = cycle[-1:] + cycle[:-1]
+    return tuple(prefix), cycle
+
+
+@dataclass(frozen=True)
+class _ReferenceSeq:
+    """The symbol-by-symbol implementation that `BinarySeq` replaced."""
+
+    prefix: tuple = ()
+    cycle: tuple = (0,)
+
+    def __post_init__(self):
+        prefix, cycle = _canonical(tuple(self.prefix), tuple(self.cycle))
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
+
+    def item(self, i):
+        if i < len(self.prefix):
+            return self.prefix[i]
+        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
+
+    def take(self, n):
+        return tuple(self.item(i) for i in range(n))
+
+    def first_difference(self, other):
+        if self.prefix == other.prefix and self.cycle == other.cycle:
+            return None
+        bound = max(len(self.prefix), len(other.prefix)) + lcm(
+            len(self.cycle), len(other.cycle)
+        )
+        for i in range(bound):
+            if self.item(i) != other.item(i):
+                return i
+        return None
+
+    def prepend(self, bit):
+        return _ReferenceSeq((bit,) + self.prefix, self.cycle)
+
+    def shift(self):
+        if self.prefix:
+            return _ReferenceSeq(self.prefix[1:], self.cycle)
+        return _ReferenceSeq((), self.cycle[1:] + self.cycle[:1])
+
+    def with_head(self, head):
+        n = max(len(head), len(self.prefix))
+        symbols = list(self.take(n))
+        symbols[: len(head)] = list(head)
+        start = (n - len(self.prefix)) % len(self.cycle)
+        return _ReferenceSeq(tuple(symbols), self.cycle[start:] + self.cycle[:start])
+
+    def with_flipped(self, i):
+        head = list(self.take(i + 1))
+        head[i] ^= 1
+        return self.with_head(tuple(head))
+
+    def __str__(self):
+        return "".join(map(str, self.prefix)) + "|" + "".join(map(str, self.cycle))
+
+
+@st.composite
+def long_parts(draw):
+    """A prefix of up to a few hundred symbols, often ending in a long run that
+    restates the cycle (which the canonical form absorbs), and a cycle of up to 8."""
+    cycle = draw(st.lists(bits, min_size=1, max_size=8).map(tuple))
+    head = draw(st.lists(bits, max_size=300).map(tuple))
+    run = cycle * draw(st.integers(min_value=0, max_value=40))
+    return head + run[draw(st.integers(min_value=0, max_value=len(cycle) - 1)):], cycle
+
+
+def _fields(s):
+    return s.prefix, s.cycle, str(s)
+
+
+@settings(max_examples=300)
+@given(long_parts(), long_parts(), st.integers(min_value=0, max_value=350),
+       st.integers(min_value=0, max_value=400), bits)
+def test_matches_symbol_by_symbol_reference(a, b, i, n, bit):
+    s, ref = BinarySeq(*a), _ReferenceSeq(*a)
+    other, other_ref = BinarySeq(*b), _ReferenceSeq(*b)
+    assert _fields(s) == _fields(ref)
+    assert s.take(n) == ref.take(n)
+    assert s.first_difference(other) == ref.first_difference(other_ref)
+    last = max(len(ref.prefix) - 1, 0)  # flipping it may let a long run be absorbed
+    pairs = [
+        (s.with_flipped(i), ref.with_flipped(i)),
+        (s.with_flipped(last), ref.with_flipped(last)),
+        (s.prepend(bit), ref.prepend(bit)),
+        (s.shift(), ref.shift()),
+    ]
+    for got, want in pairs:
+        assert _fields(got) == _fields(want)

@@ -268,9 +268,12 @@ def test_chainrec_needs_both_chain_endpoints(tmp_path, capsys, flag) -> None:
         (["shadow", "--eps", "nan", "--search", "none"], "eps"),
         (["shadow", "--eps", "inf", "--search", "none"], "eps"),
         (["chainrec", "--eps", "nan", "--resolution", "16"], "eps"),
+        (["orbit", "--noise", "burst", "--jump-factor", "nan"], "jump"),
+        (["orbit", "--noise", "burst", "--jump-factor", "-4"], "jump"),
     ],
     ids=["orbit-delta-nan", "orbit-delta-inf", "orbit-horizon", "shadow-horizon",
-         "shadow-eps-nan", "shadow-eps-inf", "chainrec-eps-nan"],
+         "shadow-eps-nan", "shadow-eps-inf", "chainrec-eps-nan",
+         "orbit-jump-nan", "orbit-jump-negative"],
 )
 def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv, name) -> None:
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -297,6 +300,22 @@ def test_counterexample_budget_stops_huge_doublings(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize(
+    "argv, output",
+    [
+        # 8193**2 plane boxes, just over the cover budget of 2**26
+        (["chainrec", "--example", "sierpinski", "--resolution", "8193"], "edges.txt"),
+        (["counterexample", "--grid", "65536"], "sweep.csv"),
+        (["attractor", "--iterations", "2000000"], "attractor_points.tsv"),
+    ],
+    ids=["chainrec-resolution", "counterexample-grid", "attractor-iterations"],
+)
+def test_size_flags_stop_at_their_budget(tmp_path, capsys, argv, output) -> None:
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / output).exists()
+
+
+@pytest.mark.parametrize(
     "argv, digests",
     [
         (["shadow", "--horizon", "300", "--candidates", "8"], {
@@ -314,11 +333,31 @@ def test_counterexample_budget_stops_huge_doublings(tmp_path, capsys) -> None:
           "--jump-factor", "1", "--period", "40"], {
             "orbit.tsv": "5f287530d716c18e7f6f3632537dbb0b1d705d36815d7fa88c735ecb576fc4d1",
         }),
+        (["orbit", "--example", "sigma2_shift", "--horizon", "2000", "--mode", "average_shifted",
+          "--seed", "7"], {
+            "orbit.tsv": "119909b3bb0eeb30a11b33789684a2e3dbc7957f0d880ac62ad5576322b8dedd",
+        }),
+        (["orbit", "--example", "sigma2_shift", "--horizon", "1500", "--noise", "burst",
+          "--jump-factor", "4", "--period", "8", "--seed", "3"], {
+            "orbit.tsv": "6d9d9d542d5fc85744122e60ae1935f300896db8c004b783e0d19c936d287726",
+        }),
+        (["shadow", "--example", "sigma2_shift", "--horizon", "400", "--candidates", "6"], {
+            "shadow_constructive.csv": "98e4242e212d7c44f817017479e5ef9e4f557681f385ee6a3ba155585a07d402",
+            "shadow_search.csv": "5f1fbf3481aee660f4c3e81c0e34ecc7a956ff1a8fa1a477868b4946dfa7e8ba",
+        }),
+        (["chainrec", "--example", "sigma2_shift", "--eps", "0.1", "--resolution", "8",
+          "--chain-from", "0110|01", "--chain-to", "1|0"], {
+            "chain.tsv": "d354726bdc174363fe428f08f7c1b6e32114d3aeed250f29a7c1f9a47c77daa1",
+            "edges.txt": "540b943417bc24a2b1442de0134130b58464ee143de771bf7e3efca848a510f7",
+            "recurrence.csv": "ae39c92ce34deea492a3e09cf95d9b55f022b2b720966d1b11eb3b0e0b1f9b50",
+        }),
     ],
-    ids=["shadow-gasket", "shadow-interval", "orbit-sigma2", "orbit-finite-set"],
+    ids=["shadow-gasket", "shadow-interval", "orbit-sigma2", "orbit-finite-set",
+         "orbit-sigma2-long", "orbit-sigma2-burst", "shadow-sigma2", "chainrec-sigma2"],
 )
 def test_per_point_outputs_are_pinned(tmp_path, argv, digests) -> None:
-    """Runs through every space whose point checks sit at the entry points."""
+    """Runs through every space whose point checks sit at the entry points, and
+    sigma2 runs whose long prefixes go through every `BinarySeq` operation."""
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests
@@ -334,14 +373,15 @@ _FUZZ_SIZES = st.sampled_from(["nan", "-3", "0", "1", "2"])  # tiny, so every ru
 @given(data=st.data())
 def test_fuzzed_parameters_never_raise(tmp_path, data) -> None:
     """Bad numbers end in a documented exit code, never in a traceback."""
-    command, knob, size = data.draw(st.sampled_from([
+    command, knob, size, *extra = data.draw(st.sampled_from([
         ("orbit", "--delta", "--horizon"),
+        ("orbit", "--jump-factor", "--horizon", "--noise", "burst"),
         ("shadow", "--eps", "--horizon"),
         ("chainrec", "--eps", "--resolution"),
         ("attractor", "--iterations", "--resolution"),
     ]))
     values = _FUZZ_SIZES if command == "attractor" else _FUZZ_FLOATS
-    argv = [command, knob, data.draw(values), size, data.draw(_FUZZ_SIZES),
+    argv = [command, *extra, knob, data.draw(values), size, data.draw(_FUZZ_SIZES),
             "--out", str(tmp_path)]
     try:
         code = main(argv)

@@ -227,8 +227,18 @@ def test_burst_noise_feasibility_gate():
         noisy_average_orbit(
             gasket, (0.5, 0.2), stream, 10, 0.2, model=BurstNoise(jump=0.1, period=0)
         )
+    with pytest.raises(InfeasibleParameterError):
+        noisy_average_orbit(
+            gasket, (0.5, 0.2), stream, 10, 0.2, model=BurstNoise(jump=math.inf, period=2)
+        )
     with pytest.raises(ValueError):
         noisy_average_orbit(gasket, (0.5, 0.2), stream, 10, 0.0)
+    for jump in (math.nan, -0.4):
+        with pytest.raises(ValueError, match="burst jump") as info:
+            noisy_average_orbit(
+                gasket, (0.5, 0.2), stream, 10, 0.2, model=BurstNoise(jump=jump, period=2)
+            )
+        assert not isinstance(info.value, InfeasibleParameterError)
 
 
 def test_block_value_doubling_table():

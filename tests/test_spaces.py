@@ -96,10 +96,13 @@ def test_interval_rejects_degenerate_bounds():
 
 
 def test_type_checks_raise_mismatch():
-    """Wrong shapes are rejected where points enter: orbit records, search
-    candidates and chain endpoints."""
+    """Wrong shapes are rejected where points enter: orbit records (also when
+    their ledger is measured first), search candidates and chain endpoints."""
     with pytest.raises(SpaceMismatchError):
         PseudoOrbit(space=Interval(0.0, 1.0), points=(0.5, "x"), symbols=(0,), errors=(0.0,))
+    for name in ("minimal_pair", "sigma2_shift"):
+        with pytest.raises(SpaceMismatchError):
+            PseudoOrbit.from_points(make(name), (0.5, "x"), (1,))
     shift = make("sigma2_shift")
     orbit = exact_orbit(shift, BinarySeq((), (0,)), SymbolStream.constant(shift.labels[0]), 4)
     with pytest.raises(SpaceMismatchError):
