@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .chainrec import ChainGraph, RecurrenceReport
 from .counterexample import CounterexampleSweep, stream_seed
+from .errors import BudgetExceededError
 from .orbits import PseudoOrbit
 from .shadowing import ShadowReport
 from .spaces import Circle, Interval, PlaneRegion, Point, Space
@@ -243,6 +244,19 @@ def write_points(path: str, space: Space, points: Sequence[Point], config: dict 
     write_text(path, render_points(space, points, config))
 
 
+# Image size guard, checked before the counters are allocated: the default
+# `attractor` image (256 x 256 = 65 536 pixels) sits 64 times below it.
+_MAX_PIXELS = 1 << 22
+
+
+def _blank_image(width: int, height: int) -> list[int]:
+    if width * height > _MAX_PIXELS:
+        raise BudgetExceededError(
+            f"{width}x{height} pixels exceed the image budget {_MAX_PIXELS}"
+        )
+    return [0] * (width * height)
+
+
 def rasterize(ifs: IFSystem, points: Iterable[Point], resolution: int) -> bytes:
     """P5 grayscale image of a point cloud; intensity scales with sqrt(hits)."""
     if resolution < 1:
@@ -250,7 +264,7 @@ def rasterize(ifs: IFSystem, points: Iterable[Point], resolution: int) -> bytes:
     space = ifs.space
     if isinstance(space, PlaneRegion):
         width = height = resolution
-        counts = [0] * (width * height)
+        counts = _blank_image(width, height)
         sx = (space.x1 - space.x0) / width
         sy = (space.y1 - space.y0) / height
         for p in points:
@@ -259,7 +273,7 @@ def rasterize(ifs: IFSystem, points: Iterable[Point], resolution: int) -> bytes:
             counts[(height - 1 - iy) * width + ix] += 1
     elif isinstance(space, (Interval, Circle)):
         width, height = resolution, max(resolution // 8, 1)
-        counts = [0] * (width * height)
+        counts = _blank_image(width, height)
         cover = space.box_cover(width)
         for p in points:
             ix = cover.locate(p)

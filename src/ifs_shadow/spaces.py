@@ -463,7 +463,16 @@ class BoxCover(ABC):
 
     @abstractmethod
     def near(self, p: Point, radius: float) -> list[int]:
-        """Indices of boxes whose center lies within `radius` of p."""
+        """Indices of boxes whose center lies within `radius` of p.
+
+        The list is ascending and holds the boxes' own `index` objects, so
+        graph rows built from it share one int per box rather than hold one
+        per edge.  The interval, circle and plane covers return slices of
+        index runs: along boxes ordered by one coordinate the centre distance
+        falls and then rises, so the boxes within `radius` form one run, and
+        trimming a window of such boxes from both ends finds it without
+        testing the boxes inside it.
+        """
 
     def box_samples(self, index: int, count: int, seed: int = 0) -> list[Point]:
         """Deterministic space members inside box `index`; may fall short of
@@ -477,6 +486,9 @@ class BoxCover(ABC):
 
 # Size guard, checked before a cover allocates its boxes: Sigma2's cap of 2**20
 # cylinders sits 64 times below it, the CLI defaults (at most 65 536 boxes) far more.
+# It bounds boxes, not bytes: `tracemalloc` counts 401 bytes per box on the
+# interval and 545 on the plane at 2**16 boxes (Box records plus the centre and
+# index lists `near` reads), so a cover at the budget would take 27 or 37 GB.
 _MAX_BOXES = 1 << 26
 
 
@@ -513,6 +525,8 @@ class IntervalCover(BoxCover):
             )
             for i in range(resolution)
         )
+        self._centers = [b.center for b in self.boxes]
+        self._ids = [b.index for b in self.boxes]
 
     def locate(self, p):
         if self.wrap:
@@ -521,30 +535,50 @@ class IntervalCover(BoxCover):
         return min(max(i, 0), self.resolution - 1)
 
     def near(self, p, radius):
+        """Boxes within `radius` of p, as runs of an ascending index window.
+
+        Centres increase with the index, and rounded subtraction, `abs` and
+        `1.0 - d` are monotone, so along an ascending range `abs(c - p)`
+        falls and then rises: the boxes passing `abs(c - p) <= radius` form
+        one run.  On the circle the window is a proper arc around p reaching
+        at least one width past `p ± radius`, and a centre more than 1/2 from
+        p along it lies at least three widths past `radius` the short way
+        round; so in each ascending range of the arc the passing boxes, under
+        `min(d, 1.0 - d) <= radius`, are again one run.
+        """
         if radius < 0.0:
             return []
         n = self.resolution
-        if self.wrap:
+        centers, ids = self._centers, self._ids
+        wrap = self.wrap
+        if wrap:
             if 2.0 * radius >= 1.0:  # no circle point is more than 1/2 away
-                return list(range(n))
+                return ids[:]
             p = p % 1.0
+
+        def dist(c):
+            d = abs(c - p)
+            return min(d, 1.0 - d) if wrap else d
+
         lo = int(math.floor((p - radius - self.lo) / self.width - 0.5)) - 1
         hi = int(math.ceil((p + radius - self.lo) / self.width - 0.5)) + 2
-        if not self.wrap:
-            window = range(max(lo, 0), min(hi, n))
+        if not wrap:
+            spans = ((lo, hi),)
         elif hi - lo >= n:
-            window = range(n)
+            return [i for i, c in zip(ids, centers) if dist(c) <= radius]
         else:
             # the window wraps past at most one end; listing the wrapped
             # part on its own side keeps the indices ascending
-            window = [*range(hi - n), *range(max(lo, 0), min(hi, n)), *range(n + lo, n)]
+            spans = ((0, hi - n), (lo, hi), (n + lo, n))
         out = []
-        for i in window:
-            d = abs(self.boxes[i].center - p)
-            if self.wrap:
-                d = min(d, 1.0 - d)
-            if d <= radius:
-                out.append(i)
+        for a, b in spans:
+            # clamp both ends: a negative slice end would count from the top
+            a, b = max(a, 0), max(min(b, n), 0)
+            while a < b and dist(centers[a]) > radius:
+                a += 1
+            while a < b and dist(centers[b - 1]) > radius:
+                b -= 1
+            out += ids[a:b]
         return out
 
     def box_samples(self, index, count, seed=0):
@@ -583,6 +617,11 @@ class PlaneCover(BoxCover):
                     )
                 )
         self.boxes = tuple(boxes)
+        # a centre's x depends only on ix and its y only on iy, so these are
+        # bitwise the floats of Box.center
+        self._xs = [b.center[0] for b in self.boxes[:resolution]]
+        self._ys = [self.boxes[iy * resolution].center[1] for iy in range(resolution)]
+        self._ids = [b.index for b in self.boxes]
 
     def _axis(self, value, origin, width):
         i = int((value - origin) / width)
@@ -594,20 +633,38 @@ class PlaneCover(BoxCover):
         return iy * self.resolution + ix
 
     def near(self, p, radius):
+        """Boxes within `radius` of p, as one column run per row of the window.
+
+        Box (ix, iy)'s centre is (xs[ix], ys[iy]), so in a row y is fixed and
+        x increases with the column: `hypot(cx - px, cy - py)` falls and then
+        rises along the row.  On one side of p, neighbouring columns differ in
+        true distance by at least wx**2 / (2 D), D the larger distance.  On
+        the unit square at the cover budget that is about 5e-9, some 1e7
+        times `hypot`'s sub-ulp error, and the gap stays above the error
+        while D is under about 4000 rectangle widths; so for such radii the
+        rounded test still passes one run of columns per row, and each row's
+        column window is trimmed from both ends.
+        """
         if radius < 0.0:
             return []
-        ix0 = self._axis(p[0], self.space.x0, self.wx)
-        iy0 = self._axis(p[1], self.space.y0, self.wy)
+        n = self.resolution
+        px, py = p[0], p[1]
+        ix0 = self._axis(px, self.space.x0, self.wx)
+        iy0 = self._axis(py, self.space.y0, self.wy)
         sx = int(radius / self.wx) + 2
         sy = int(radius / self.wy) + 2
+        xs, ys, ids = self._xs, self._ys, self._ids
+        left, right = max(ix0 - sx, 0), min(ix0 + sx + 1, n)
         out = []
-        for iy in range(max(iy0 - sy, 0), min(iy0 + sy + 1, self.resolution)):
-            for ix in range(max(ix0 - sx, 0), min(ix0 + sx + 1, self.resolution)):
-                b = self.boxes[iy * self.resolution + ix]
-                if math.hypot(b.center[0] - p[0], b.center[1] - p[1]) <= radius:
-                    out.append(b.index)
+        for iy in range(max(iy0 - sy, 0), min(iy0 + sy + 1, n)):
+            dy = ys[iy] - py
+            a, b = left, right
+            while a < b and math.hypot(xs[a] - px, dy) > radius:
+                a += 1
+            while a < b and math.hypot(xs[b - 1] - px, dy) > radius:
+                b -= 1
+            out += ids[iy * n + a:iy * n + b]
         return out
-
 
     def box_samples(self, index, count, seed=0):
         # boundary boxes may hold few members, fully exterior boxes none

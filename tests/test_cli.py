@@ -306,8 +306,11 @@ def test_counterexample_budget_stops_huge_doublings(tmp_path, capsys) -> None:
         (["chainrec", "--example", "sierpinski", "--resolution", "8193"], "edges.txt"),
         (["counterexample", "--grid", "65536"], "sweep.csv"),
         (["attractor", "--iterations", "2000000"], "attractor_points.tsv"),
+        # 2049**2 pixels, just over the image budget of 2**22
+        (["attractor", "--iterations", "200", "--resolution", "2049"], "attractor.pgm"),
     ],
-    ids=["chainrec-resolution", "counterexample-grid", "attractor-iterations"],
+    ids=["chainrec-resolution", "counterexample-grid", "attractor-iterations",
+         "attractor-resolution"],
 )
 def test_size_flags_stop_at_their_budget(tmp_path, capsys, argv, output) -> None:
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -351,13 +354,27 @@ def test_size_flags_stop_at_their_budget(tmp_path, capsys, argv, output) -> None
             "edges.txt": "540b943417bc24a2b1442de0134130b58464ee143de771bf7e3efca848a510f7",
             "recurrence.csv": "ae39c92ce34deea492a3e09cf95d9b55f022b2b720966d1b11eb3b0e0b1f9b50",
         }),
+        (["chainrec", "--example", "sierpinski", "--eps", "0.05", "--resolution", "32",
+          "--chain-from", "0.1,0.05", "--chain-to", "0.8,0.2"], {
+            "chain.tsv": "c5e2aed6b4a511a355e01ad6cc325f9c49e8ec26fdc2618153ac9fecb983437e",
+            "edges.txt": "532f0e339d38aad34652476bb94888a7efbb44a36dd79e465de02eacab58db8a",
+            "recurrence.csv": "b86e993975c5ee00b00e745df7c01103672598aef7a2cfc96688064750ddfce1",
+        }),
+        (["chainrec", "--example", "minimal_pair", "--eps", "0.02", "--resolution", "1024",
+          "--chain-from", "0.2", "--chain-to", "0.9"], {
+            "chain.tsv": "afb984781be1d3b5471cf301ef8b8ebe6b19f33b7ab5c19352dc91a98282a4fc",
+            "edges.txt": "726da65eca4a513d76833fcb088f6e8464c649ef4b6e2e735c820ac740411527",
+            "recurrence.csv": "c33d9708b5088d295702f9ad3e9bf5f620cb48cbe89b3f78314d2d49445ca0d9",
+        }),
     ],
     ids=["shadow-gasket", "shadow-interval", "orbit-sigma2", "orbit-finite-set",
-         "orbit-sigma2-long", "orbit-sigma2-burst", "shadow-sigma2", "chainrec-sigma2"],
+         "orbit-sigma2-long", "orbit-sigma2-burst", "shadow-sigma2", "chainrec-sigma2",
+         "chainrec-gasket", "chainrec-interval"],
 )
 def test_per_point_outputs_are_pinned(tmp_path, argv, digests) -> None:
-    """Runs through every space whose point checks sit at the entry points, and
-    sigma2 runs whose long prefixes go through every `BinarySeq` operation."""
+    """Runs through every space whose point checks sit at the entry points,
+    sigma2 runs whose long prefixes go through every `BinarySeq` operation, and
+    plane and interval box graphs built from cover range queries."""
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests

@@ -1,16 +1,19 @@
 """Metric axioms, perturbation contracts, and box-cover geometry."""
 from __future__ import annotations
 
+import functools
 import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifs_shadow import (
     BinarySeq,
     Circle,
     DiscretePoints,
     Interval,
+    PlaneCover,
     PlaneRegion,
     ProductSpace,
     PseudoOrbit,
@@ -200,6 +203,122 @@ def test_circle_near_wraps_around_in_ascending_order(resolution):
             assert cover.near(p, radius) == expected, (p, radius)
             straddled += 0 in expected and resolution - 1 in expected
     assert straddled > 0  # some windows hold the boxes on both sides of 0
+
+
+def _reference_interval_near(cover, p, radius):
+    """Reference: `IntervalCover.near` as the per-box loop over its window."""
+    if radius < 0.0:
+        return []
+    n = cover.resolution
+    if cover.wrap:
+        if 2.0 * radius >= 1.0:
+            return list(range(n))
+        p = p % 1.0
+    lo = int(math.floor((p - radius - cover.lo) / cover.width - 0.5)) - 1
+    hi = int(math.ceil((p + radius - cover.lo) / cover.width - 0.5)) + 2
+    if not cover.wrap:
+        window = range(max(lo, 0), min(hi, n))
+    elif hi - lo >= n:
+        window = range(n)
+    else:
+        window = [*range(hi - n), *range(max(lo, 0), min(hi, n)), *range(n + lo, n)]
+    out = []
+    for i in window:
+        d = abs(cover.boxes[i].center - p)
+        if cover.wrap:
+            d = min(d, 1.0 - d)
+        if d <= radius:
+            out.append(i)
+    return out
+
+
+def _reference_plane_near(cover, p, radius):
+    """Reference: `PlaneCover.near` as the per-box loop over its window."""
+    if radius < 0.0:
+        return []
+    ix0 = cover._axis(p[0], cover.space.x0, cover.wx)
+    iy0 = cover._axis(p[1], cover.space.y0, cover.wy)
+    sx = int(radius / cover.wx) + 2
+    sy = int(radius / cover.wy) + 2
+    out = []
+    for iy in range(max(iy0 - sy, 0), min(iy0 + sy + 1, cover.resolution)):
+        for ix in range(max(ix0 - sx, 0), min(ix0 + sx + 1, cover.resolution)):
+            b = cover.boxes[iy * cover.resolution + ix]
+            if math.hypot(b.center[0] - p[0], b.center[1] - p[1]) <= radius:
+                out.append(b.index)
+    return out
+
+
+_RUN_SPACES = (Interval(0.0, 1.0), Interval(-2.0, 3.0), Circle(),
+               PlaneRegion(0.0, 0.0, 1.0, 1.0), make("sierpinski").space)
+
+
+@functools.cache
+def _run_cover(which, resolution):
+    return _RUN_SPACES[which].box_cover(resolution)
+
+
+@st.composite
+def _near_queries(draw):
+    """A cover, a point and a radius, drawn towards the edges of the index runs:
+    points outside the interval on both sides and on the circle's seam, points
+    on centres, and radii at exact centre distances and one ulp either side."""
+    which = draw(st.integers(0, len(_RUN_SPACES) - 1))
+    space = _RUN_SPACES[which]
+    plane = isinstance(space, PlaneRegion)
+    sizes = st.integers(1, 16) | st.sampled_from([33, 64] if plane else [97, 1000, 2048])
+    cover = _run_cover(which, draw(sizes))
+    centers = [b.center for b in cover.boxes]
+    on_center = st.sampled_from(centers)
+    if plane:
+        coord = st.floats(-0.5, 1.5)
+        p = draw(st.tuples(coord, coord) | on_center)
+        width = cover.wx
+        seam = []
+    else:
+        lo, hi = (0.0, 1.0) if cover.wrap else (space.lo, space.hi)
+        span = hi - lo
+        edges = [lo, hi, lo - 10.0 * span, hi + 10.0 * span,
+                 math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+        if cover.wrap:
+            edges += [-1e-20, 1 - 1e-17, math.nextafter(1.0, 0.0), -0.01, 1.3]
+        p = draw(st.floats(lo - span, hi + span) | st.sampled_from(edges) | on_center)
+        width = cover.width
+        seam = [0.5 - k * width for k in range(4)] + [math.nextafter(0.5, 0.0)] if cover.wrap else []
+    q = p % 1.0 if not plane and cover.wrap else p
+    d = space.distance(draw(on_center), q)
+    radius = draw(
+        st.sampled_from([d, math.nextafter(d, math.inf), math.nextafter(d, -math.inf)])
+        | st.sampled_from([0.0, 0.5 * width, width, 2.5 * width] + seam)
+        | st.floats(0.0, 0.7 * space.diameter())
+    )
+    return cover, p, radius
+
+
+@settings(max_examples=800, deadline=None)
+@given(_near_queries())
+def test_near_runs_match_the_per_box_reference(query):
+    cover, p, radius = query
+    reference = _reference_plane_near if isinstance(cover, PlaneCover) else _reference_interval_near
+    assert cover.near(p, radius) == reference(cover, p, radius)
+
+
+@pytest.mark.parametrize(
+    "space, resolution, p, radius",
+    [
+        (Interval(0.0, 1.0), 1000, 0.9, 0.05),
+        (Circle(), 1000, 0.999, 0.05),  # the window wraps past 1
+        (Circle(), 1000, 0.3, 0.499),  # a window of the whole circle
+        (Circle(), 1000, 0.3, 0.5),
+        (PlaneRegion(0.0, 0.0, 1.0, 1.0), 32, (0.5, 0.9), 0.05),
+    ],
+)
+def test_near_returns_the_boxes_own_index_objects(space, resolution, p, radius):
+    """Graph rows then share one int per box instead of holding one per edge."""
+    cover = space.box_cover(resolution)
+    found = cover.near(p, radius)
+    assert max(found) > 256  # past the small ints the interpreter caches
+    assert all(i is cover.boxes[i].index for i in found)
 
 
 def test_box_samples_stay_in_their_box(cover_case):
