@@ -109,14 +109,15 @@ def _strong_components(adj: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]
                     work.append((w, 0))
                     descended = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if descended:
                 continue
             work.pop()
             if work:
                 u = work[-1][0]
-                low[u] = min(low[u], low[v])
+                if low[v] < low[u]:
+                    low[u] = low[v]
             if low[v] == index[v]:
                 comp = []
                 while True:

@@ -7,7 +7,6 @@ geometric ledger b_0 = d(x_0, z) and b_{i+1} = a_i + beta*b_i.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -183,6 +182,26 @@ class SearchResult:
     evaluations: int
 
 
+def _merge_equal_states(groups: list) -> list:
+    """Fold (state, members) groups whose states are bitwise equal into the
+    first of them.  A dict hit only proves ``==``, so `repr` must agree too:
+    0.0 == -0.0 stays apart, and so does an unhashable state."""
+    if len(groups) < 2:
+        return groups
+    merged = []
+    first: dict = {}
+    for state, members in groups:
+        try:
+            k = first.setdefault(state, len(merged))
+        except TypeError:
+            k = len(merged)
+        if k < len(merged) and repr(merged[k][0]) == repr(state):
+            merged[k][1].extend(members)
+        else:
+            merged.append((state, members))
+    return merged
+
+
 def brute_force_search(
     ifs: IFSystem,
     orbit: PseudoOrbit,
@@ -193,8 +212,23 @@ def brute_force_search(
     """Oracle search for the best average-tracking orbit.
 
     Exhaustive mode minimizes the horizon average over candidates x words
-    (ties: first candidate, then first word); greedy mode minimizes each step
-    locally.  Exhaustive work is capped at |labels|**word_length <= 10**6.
+    (ties: first candidate, then first word); greedy mode picks, at each step,
+    the label landing nearest the next target point (ties: first label) and
+    keeps the candidate with the least average (ties: first candidate).
+    Exhaustive work is capped at |labels|**word_length <= 10**6.
+
+    Neither mode computes a decision twice.  Greedy candidates advance in
+    lockstep as groups that share one state; two groups merge once their
+    states are bitwise equal, which contracting systems reach within a few
+    dozen steps, and only the winner is replayed for its symbols.  Exhaustive
+    words are walked as a prefix tree in `itertools.product` order, sharing
+    each prefix's image and partial sum, and a node is pruned once its
+    partial sum reaches the best total: sums of non-negative distances only
+    grow, and dividing by horizon + 1 is monotone, so pruning is exact.
+
+    `evaluations` counts the (candidate, step, label) triples (greedy) or
+    (candidate, word, step) triples (exhaustive) that were decided, however
+    few map calls the sharing left to make.
     """
     if not candidates:
         raise ValueError("need at least one candidate start point")
@@ -202,51 +236,85 @@ def brute_force_search(
     for z in candidates:
         space.check_point(z)
     horizon = orbit.horizon
-    evaluations = 0
+    points = orbit.points
+    labels = ifs.labels
+    apply = ifs.apply
+    distance = space.distance
 
     if isinstance(strategy, ExhaustiveSearch):
-        n_words = len(ifs.labels) ** strategy.word_length
+        length = strategy.word_length
+        n_words = len(labels) ** length
         if n_words > 1_000_000:
             raise BudgetExceededError(f"{n_words} words exceed the exhaustive budget")
         if n_words * len(candidates) * (horizon + 1) > _SEARCH_BUDGET:
             raise BudgetExceededError("candidate grid times word count is too large")
-        best = None
+        depth = min(length, horizon)  # levels where the word still branches
+        best = None  # (key, total, candidate, branching prefix)
         for ci, z in enumerate(candidates):
-            for word in itertools.product(ifs.labels, repeat=strategy.word_length):
-                symbols = tuple(word[i % len(word)] for i in range(horizon))
-                total = space.distance(z, orbit.points[0])
-                p = z
-                for i, label in enumerate(symbols):
-                    p = ifs.apply(label, p)
-                    total += space.distance(p, orbit.points[i + 1])
-                evaluations += horizon + 1
-                key = total / (horizon + 1)
-                if best is None or key < best[0]:
-                    best = (key, ci, word, symbols)
-        _, ci, word, symbols = best
+            stack = [(z, distance(z, points[0]), ())]  # (image, partial sum, prefix)
+            while stack:
+                p, total, prefix = stack.pop()
+                if best is not None and total >= best[1]:
+                    continue
+                i = len(prefix)
+                if i < depth:
+                    for label in reversed(labels):
+                        q = apply(label, p)
+                        stack.append((q, total + distance(q, points[i + 1]), prefix + (label,)))
+                    continue
+                # a leaf of the branching part: the rest of the walk repeats the word
+                for j in range(depth, horizon):
+                    p = apply(prefix[j % length], p)
+                    total += distance(p, points[j + 1])
+                    if best is not None and total >= best[1]:
+                        break
+                else:
+                    key = total / (horizon + 1)
+                    if best is None or key < best[0]:
+                        best = (key, total, ci, prefix)
+        _, _, ci, prefix = best
+        word = prefix + (labels[0],) * (length - depth)  # the first word with that prefix
+        symbols = tuple(word[i % length] for i in range(horizon))
         report = _report(ifs, candidates[ci], symbols, orbit, window)
-        return SearchResult(report=report, candidate_index=ci, word=word, evaluations=evaluations)
+        return SearchResult(
+            report=report,
+            candidate_index=ci,
+            word=word,
+            evaluations=len(candidates) * n_words * (horizon + 1),
+        )
 
-    best = None
-    for ci, z in enumerate(candidates):
-        p = z
-        symbols = []
-        total = space.distance(z, orbit.points[0])
-        for i in range(horizon):
-            target = orbit.points[i + 1]
-            pick = None
-            for label in ifs.labels:
-                q = ifs.apply(label, p)
-                d = space.distance(q, target)
-                evaluations += 1
-                if pick is None or d < pick[0]:
-                    pick = (d, label, q)
-            total += pick[0]
-            symbols.append(pick[1])
-            p = pick[2]
-        key = total / (horizon + 1)
-        if best is None or key < best[0]:
-            best = (key, ci, tuple(symbols))
-    _, ci, symbols = best
+    def nearest(p, target):
+        pick = None
+        for label in labels:
+            q = apply(label, p)
+            d = distance(q, target)
+            if pick is None or d < pick[0]:
+                pick = (d, label, q)
+        return pick
+
+    totals = [distance(z, points[0]) for z in candidates]
+    groups = _merge_equal_states([(z, [ci]) for ci, z in enumerate(candidates)])
+    for i in range(horizon):
+        target = points[i + 1]
+        stepped = []
+        for p, members in groups:
+            d, _, q = nearest(p, target)
+            for m in members:
+                totals[m] += d
+            stepped.append((q, members))
+        groups = _merge_equal_states(stepped)
+    # min keeps the first of equal averages, as a strict `<` scan would
+    ci = min(range(len(totals)), key=lambda k: totals[k] / (horizon + 1))
+    symbols = []
+    p = candidates[ci]
+    for i in range(horizon):
+        _, label, p = nearest(p, points[i + 1])
+        symbols.append(label)
+    symbols = tuple(symbols)
     report = _report(ifs, candidates[ci], symbols, orbit, window)
-    return SearchResult(report=report, candidate_index=ci, word=symbols, evaluations=evaluations)
+    return SearchResult(
+        report=report,
+        candidate_index=ci,
+        word=symbols,
+        evaluations=len(candidates) * horizon * len(labels),
+    )

@@ -329,6 +329,14 @@ def test_size_flags_stop_at_their_budget(tmp_path, capsys, argv, output) -> None
             "shadow_constructive.csv": "ec46c543d743212f2aa93b7c523ba098a5298400a8fae9941d93baf98da71220",
             "shadow_search.csv": "03e37cfef3bcda86b2e180346b6eb7fc6d78b9458322b511f1e1429cede20fcf",
         }),
+        (["shadow", "--seed", "7"], {
+            "shadow_constructive.csv": "630e08e4958c818e46f1b15dd6fdf38919e96136e4b75dfa1a2e04bac3c9e502",
+            "shadow_search.csv": "7481c0ac091d3424e64dc914dca390d4c4846a14218a73c52917cddf597e1aef",
+        }),
+        (["shadow", "--example", "minimal_pair", "--seed", "3"], {
+            "shadow_constructive.csv": "c18bfdd86b4a16c29c9a26f5f8c77e1e4cfe4b83aacbfab8895f71fed1b9d9c9",
+            "shadow_search.csv": "ff68d052fe3915d9d5cf90aea0bd3e4696bb832d5961fa5ad57a61027ec0a7cd",
+        }),
         (["orbit", "--example", "sigma2_shift", "--horizon", "300", "--mode", "average_shifted"], {
             "orbit.tsv": "b464e36b5c719092dd70f6abbee36d9fc4030df7634cd9f3ba531102d10c170f",
         }),
@@ -367,7 +375,8 @@ def test_size_flags_stop_at_their_budget(tmp_path, capsys, argv, output) -> None
             "recurrence.csv": "c33d9708b5088d295702f9ad3e9bf5f620cb48cbe89b3f78314d2d49445ca0d9",
         }),
     ],
-    ids=["shadow-gasket", "shadow-interval", "orbit-sigma2", "orbit-finite-set",
+    ids=["shadow-gasket", "shadow-interval", "shadow-gasket-default", "shadow-interval-default",
+         "orbit-sigma2", "orbit-finite-set",
          "orbit-sigma2-long", "orbit-sigma2-burst", "shadow-sigma2", "chainrec-sigma2",
          "chainrec-gasket", "chainrec-interval"],
 )

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -186,3 +188,140 @@ def test_search_budget_gates():
         )
     with pytest.raises(ValueError):
         brute_force_search(pair, orbit, [], GreedySearch())
+
+
+# --------------------------------------------------------------------------
+# the searches against their original per-candidate loops, bit for bit
+
+
+def _reference_walk(ifs, start, symbols, orbit):
+    out = np.empty(len(symbols) + 1)
+    p = start
+    out[0] = ifs.space.distance(p, orbit.points[0])
+    for i, label in enumerate(symbols):
+        p = ifs.apply(label, p)
+        out[i + 1] = ifs.space.distance(p, orbit.points[i + 1])
+    return out
+
+
+def _reference_exhaustive(ifs, orbit, candidates, word_length):
+    space = ifs.space
+    horizon = orbit.horizon
+    evaluations = 0
+    best = None
+    for ci, z in enumerate(candidates):
+        for word in itertools.product(ifs.labels, repeat=word_length):
+            symbols = tuple(word[i % len(word)] for i in range(horizon))
+            total = space.distance(z, orbit.points[0])
+            p = z
+            for i, label in enumerate(symbols):
+                p = ifs.apply(label, p)
+                total += space.distance(p, orbit.points[i + 1])
+            evaluations += horizon + 1
+            key = total / (horizon + 1)
+            if best is None or key < best[0]:
+                best = (key, ci, word, symbols)
+    _, ci, word, symbols = best
+    return ci, word, evaluations, _reference_walk(ifs, candidates[ci], symbols, orbit).tobytes()
+
+
+def _reference_greedy(ifs, orbit, candidates):
+    space = ifs.space
+    horizon = orbit.horizon
+    evaluations = 0
+    best = None
+    for ci, z in enumerate(candidates):
+        p = z
+        symbols = []
+        total = space.distance(z, orbit.points[0])
+        for i in range(horizon):
+            target = orbit.points[i + 1]
+            pick = None
+            for label in ifs.labels:
+                q = ifs.apply(label, p)
+                d = space.distance(q, target)
+                evaluations += 1
+                if pick is None or d < pick[0]:
+                    pick = (d, label, q)
+            total += pick[0]
+            symbols.append(pick[1])
+            p = pick[2]
+        key = total / (horizon + 1)
+        if best is None or key < best[0]:
+            best = (key, ci, tuple(symbols))
+    _, ci, symbols = best
+    return ci, symbols, evaluations, _reference_walk(ifs, candidates[ci], symbols, orbit).tobytes()
+
+
+def _searched(ifs, orbit, candidates, strategy):
+    result = brute_force_search(ifs, orbit, candidates, strategy)
+    return (result.candidate_index, result.word, result.evaluations,
+            result.report.distances.tobytes())
+
+
+def _signed_zero_pair() -> IFSystem:
+    """Maps that send 0.0 and -0.0 to opposite ends, so 0.0 == -0.0 states
+    must never share one walk."""
+    return IFSystem(
+        space=Interval(-1.0, 1.0),
+        labels=(1, 2),
+        maps={1: lambda x: math.copysign(0.5, x), 2: lambda x: math.copysign(0.25, x)},
+        ratio=None,
+        name="signed_zero",
+        check=False,
+    )
+
+
+_REFERENCE_SETUPS = [
+    # (example, grid resolution, horizon, word length, seed)
+    ("sierpinski", 6, 40, 3, 7),
+    ("sierpinski", 4, 5, 2, 1),
+    ("minimal_pair", 16, 60, 4, 3),
+    ("minimal_pair", 9, 9, 4, 0x5EA),  # horizon past the word: periodic extension
+    ("circle_counterexample", 12, 50, 4, 0),
+    ("circle_counterexample", 12, 3, 5, 2),  # word longer than the horizon
+    ("finite_set", 3, 30, 1, 5),
+    ("finite_set", 3, 4, 2, 6),  # 0/1 distances: many words tie
+    ("sigma2_shift", 3, 40, 4, 11),
+]
+
+
+@pytest.mark.parametrize(
+    "example, resolution, horizon, word_length, seed", _REFERENCE_SETUPS,
+    ids=[f"{s[0]}-h{s[2]}-w{s[3]}" for s in _REFERENCE_SETUPS],
+)
+def test_searches_match_their_original_loops(example, resolution, horizon, word_length, seed):
+    ifs = make(example)
+    stream = SymbolStream.random(ifs.labels, seed=seed)
+    start = ifs.space.sample(Random(seed))
+    orbit = noisy_average_orbit(ifs, start, stream, horizon, 0.05, seed=seed)
+    candidates = grid_points(ifs.space, resolution)
+    # repeated starts tie in both modes, and the first of them must win
+    for grid in (candidates, candidates[:4] + candidates[:4] + candidates[2:]):
+        assert _searched(ifs, orbit, grid, GreedySearch()) == _reference_greedy(ifs, orbit, grid)
+        assert _searched(ifs, orbit, grid, ExhaustiveSearch(word_length)) == \
+            _reference_exhaustive(ifs, orbit, grid, word_length)
+
+
+@pytest.mark.parametrize("candidates", [[-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]])
+def test_signed_zero_starts_are_never_merged(candidates):
+    ifs = _signed_zero_pair()
+    orbit = PseudoOrbit.from_points(ifs, [0.0] + [0.5] * 6, (1,) * 6)
+    expected = _reference_greedy(ifs, orbit, candidates)
+    assert math.copysign(1.0, candidates[expected[0]]) == 1.0  # only 0.0 reaches 0.5
+    assert _searched(ifs, orbit, candidates, GreedySearch()) == expected
+    assert _searched(ifs, orbit, candidates, ExhaustiveSearch(2)) == \
+        _reference_exhaustive(ifs, orbit, candidates, 2)
+
+
+def test_unmerged_sigma2_greedy_is_pinned():
+    """Distinct cylinder centres never meet under prepending, so every walk
+    stays apart; the winner was recorded from the per-candidate loop."""
+    ifs = make("sigma2_shift")
+    stream = SymbolStream.random(ifs.labels, seed=0x51)
+    start = ifs.space.sample(Random(0x51))
+    orbit = noisy_average_orbit(ifs, start, stream, 60, 0.05, seed=0x51)
+    result = brute_force_search(ifs, orbit, grid_points(ifs.space, 4), GreedySearch())
+    assert result.candidate_index == 14
+    assert "".join(map(str, result.word)) == "101010110110100011110000010110100100000011010100101101111011"
+    assert result.evaluations == 16 * 60 * 2
