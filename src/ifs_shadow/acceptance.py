@@ -34,6 +34,7 @@ from .shadowing import (
     brute_force_search,
     constructive_shadow,
     profile_from_distances,
+    shadow_delta,
     tail_statistic,
 )
 from .spaces import Interval, grid_points
@@ -60,11 +61,10 @@ class CriterionResult:
 
 def _criterion_1() -> tuple[bool, list[str]]:
     ifs = make("sierpinski")
-    beta = ifs.ratio
     cases = tail_ok = ledger_ok = cumulative_ok = 0
     worst_tail = 0.0
     for ei, eps in enumerate((0.1, 0.05)):
-        delta = (1.0 - beta) * eps / 2.0
+        delta = shadow_delta(ifs, eps)
         for trial in range(50):
             seed = mix_seed(0xACC, 1, ei, trial)
             start = ifs.space.sample(Random(mix_seed(seed, 1)))
@@ -236,7 +236,7 @@ def _criterion_5() -> tuple[bool, list[str]]:
 def _criterion_6() -> tuple[bool, list[str]]:
     ifs = make("minimal_pair")
     eps = 0.2
-    delta = (1.0 - ifs.ratio) * eps / 2.0
+    delta = shadow_delta(ifs, eps)
     horizon = 6
     candidates = grid_points(ifs.space, 64)
     cases = oracle_ok = 0

@@ -11,6 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from random import Random
+from typing import Iterator
 
 import numpy as np
 
@@ -362,6 +363,15 @@ def make(example: ExampleDescriptor | str, **overrides) -> IFSystem:
 # empirical probes
 
 
+def _random_walk(ifs: IFSystem, start: Point, steps: int, rng: Random) -> Iterator[Point]:
+    """The points after each step of a random composition orbit: every step
+    applies a map drawn uniformly with `rng`."""
+    p = start
+    for _ in range(steps):
+        p = ifs.apply(ifs.labels[rng.randrange(len(ifs.labels))], p)
+        yield p
+
+
 def minimality_probe(
     ifs: IFSystem,
     start: Point,
@@ -378,14 +388,9 @@ def minimality_probe(
         raise ValueError("iterations must be >= 1")
     ifs.space.check_point(start)
     cover = ifs.space.box_cover(resolution)
-    rng = Random(mix_seed(seed, 0xD1CE))
+    walk = _random_walk(ifs, start, iterations, Random(mix_seed(seed, 0xD1CE)))
     burn = min(1000, iterations // 10)
-    visited: set[int] = set()
-    p = start
-    for i in range(iterations):
-        p = ifs.apply(ifs.labels[rng.randrange(len(ifs.labels))], p)
-        if i >= burn:
-            visited.add(cover.locate(p))
+    visited = {cover.locate(p) for p in itertools.islice(walk, burn, None)}
     return len(visited) / len(cover)
 
 
@@ -395,16 +400,12 @@ def chaos_game(
     """Random-composition orbit after burn-in; the classic attractor sampler."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if burn < 0:
+        raise ValueError("burn must be >= 0")
     if iterations > _MAX_ITERATIONS:
         raise BudgetExceededError(
             f"{iterations} iterations exceed the chaos-game budget {_MAX_ITERATIONS}"
         )
     ifs.space.check_point(start)
-    rng = Random(mix_seed(seed, 0xC0DE))
-    out = []
-    p = start
-    for i in range(iterations + burn):
-        p = ifs.apply(ifs.labels[rng.randrange(len(ifs.labels))], p)
-        if i >= burn:
-            out.append(p)
-    return out
+    walk = _random_walk(ifs, start, iterations + burn, Random(mix_seed(seed, 0xC0DE)))
+    return list(itertools.islice(walk, burn, None))

@@ -2,10 +2,11 @@
 
 A box graph discretizes eps-chains: boxes are nodes, and an edge B -> B' is
 recorded when some sampled point of B is mapped by some system map to within
-eps + radius of the center of B'.  Outer slack makes the graph an over-
-approximation, so an empty search is a certificate of absence.  Chain
-realization walks a stricter inner-slack graph (center within eps - radius)
-whose witness points chain together into a genuine eps-pseudo-orbit.
+eps + radius of the center of B'.  The edges come from finitely many sampled
+points per box, so a missing path proves nothing about eps-chains between
+unsampled points.  Chain realization walks a stricter inner-slack graph
+(center within eps - radius) whose witness points chain together into a
+genuine eps-pseudo-orbit.
 """
 from __future__ import annotations
 
@@ -184,7 +185,7 @@ def find_chain(graph: ChainGraph, x: Point, y: Point) -> RealizedChain | None:
 
     Interior hops demand images within eps - radius of a box center, so the
     witness-to-witness distances stay below eps; the final hop captures y
-    directly.  None is a certificate only relative to this sampling.
+    directly.  None means only that this sampling found no chain.
     """
     ifs = graph.ifs
     space = ifs.space
@@ -199,24 +200,13 @@ def find_chain(graph: ChainGraph, x: Point, y: Point) -> RealizedChain | None:
     space.check_point(y)
 
     parent: dict[int, tuple[int | None, object, Point]] = {}
-    frontier: list[int] = []
+    frontier: list[int | None] = [None]  # None stands for x, its only witness
     finish: tuple[int | None, object, Point] | None = None
-
-    for label in graph.labels:
-        q = ifs.apply(label, x)
-        if space.distance(q, y) <= eps:
-            finish = (None, label, x)
-            break
-        for b in cover.near(q, inner):
-            if b not in parent:
-                parent[b] = (None, label, x)
-                frontier.append(b)
-
     head = 0
     while finish is None and head < len(frontier):
         v = frontier[head]
         head += 1
-        for w in graph.samples[v]:
+        for w in (x,) if v is None else graph.samples[v]:
             for label in graph.labels:
                 q = ifs.apply(label, w)
                 if space.distance(q, y) <= eps:
@@ -247,41 +237,3 @@ def find_chain(graph: ChainGraph, x: Point, y: Point) -> RealizedChain | None:
     symbols = tuple(label for label, _ in steps)
     orbit = PseudoOrbit.from_points(ifs, tuple(points), symbols)
     return RealizedChain(orbit=orbit, boxes=tuple(boxes), eps=eps)
-
-
-def absence_certificate(graph: ChainGraph, x: Point, y: Point) -> bool:
-    """True when even the outer-slack graph admits no box path from x to y.
-
-    The outer graph over-approximates true eps-chains, so True here rules
-    out every eps-chain from x to y at this eps.
-    """
-    ifs = graph.ifs
-    space = ifs.space
-    cover = graph.cover
-    slack = graph.eps + cover.boxes[0].radius
-    space.check_point(x)
-    space.check_point(y)
-    target = cover.locate(y)
-
-    seen: set[int] = set()
-    frontier: list[int] = []
-    for label in graph.labels:
-        q = ifs.apply(label, x)
-        if space.distance(q, y) <= graph.eps:
-            return False
-        for b in cover.near(q, slack):
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    head = 0
-    while head < len(frontier):
-        v = frontier[head]
-        head += 1
-        if v == target:
-            return False
-        for b in graph.edges[v]:
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return target not in seen
-

@@ -300,7 +300,6 @@ def cyclic_connecting_orbit(
     if not any(ifs.has_inverse(label) for label in ifs.labels):
         raise PreimageError(f"{ifs.name} registers no inverse maps")
     space = ifs.space
-    # degenerate case: y already sits on the forward orbit
     forward = [x]
     p = x
     for _ in range(n0):
@@ -308,42 +307,36 @@ def cyclic_connecting_orbit(
         forward.append(p)
     for j, q in enumerate(forward):
         if space.distance(q, y) <= 1e-12 and j > 0:
+            # degenerate case: y already sits on the forward orbit
             period_points = forward[: j + 1]
-            period_symbols = [primary] * j + [primary]
-            points = []
-            symbols = []
-            while len(points) <= horizon:
-                points.extend(period_points)
-                symbols.extend(period_symbols)
-            return PseudoOrbit.from_points(
-                ifs, points[: horizon + 1], symbols[:horizon]
-            )
+            period_symbols = [primary] * (j + 1)
+            break
+    else:
+        back_points = []  # w_1 .. w_q: f(w_1) ~ y, f(w_{j+1}) ~ w_j
+        back_symbols = []  # symbol used to map w_j one step forward
+        target = y
+        depth = n0 - 2
+        for _ in range(depth):
+            try:
+                w, label = _preimage(ifs, target, primary)
+            except PreimageError:
+                break  # rounding pushed every branch out of the space
+            back_points.append(w)
+            back_symbols.append(label)
+            target = w
 
-    back_points = []  # w_1 .. w_q: f(w_1) ~ y, f(w_{j+1}) ~ w_j
-    back_symbols = []  # symbol used to map w_j one step forward
-    target = y
-    depth = n0 - 2
-    for _ in range(depth):
-        try:
-            w, label = _preimage(ifs, target, primary)
-        except PreimageError:
-            break  # rounding pushed every branch out of the space
-        back_points.append(w)
-        back_symbols.append(label)
-        target = w
-
-    period_points = list(forward)  # residues 0..n0
-    period_symbols = [primary] * (n0 + 1)  # residues 0..n0 (seam at n0)
-    p = x
-    for _ in range(depth - len(back_points)):  # forward filler when truncated
-        period_points.append(p)
-        period_symbols.append(primary)
-        p = ifs.apply(primary, p)
-    for j in range(len(back_points), 0, -1):  # w_q .. w_1
-        period_points.append(back_points[j - 1])
-        period_symbols.append(back_symbols[j - 1])
-    period_points.append(y)  # residue 2n0-1
-    period_symbols.append(primary)  # seam back to x
+        period_points = list(forward)  # residues 0..n0
+        period_symbols = [primary] * (n0 + 1)  # residues 0..n0 (seam at n0)
+        p = x
+        for _ in range(depth - len(back_points)):  # forward filler when truncated
+            period_points.append(p)
+            period_symbols.append(primary)
+            p = ifs.apply(primary, p)
+        for j in range(len(back_points), 0, -1):  # w_q .. w_1
+            period_points.append(back_points[j - 1])
+            period_symbols.append(back_symbols[j - 1])
+        period_points.append(y)  # residue 2n0-1
+        period_symbols.append(primary)  # seam back to x
 
     points = []
     symbols = []

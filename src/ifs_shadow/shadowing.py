@@ -8,7 +8,7 @@ geometric ledger b_0 = d(x_0, z) and b_{i+1} = a_i + beta*b_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -127,21 +127,11 @@ def constructive_shadow(
     for i in range(alphas.size):
         bounds[i + 1] = alphas[i] + beta * bounds[i]
     cumulative_bound = float((bounds[0] + alphas.sum()) / (1.0 - beta))
-    distances = _walk_distances(ifs, start, orbit.symbols, orbit)
-    profile = profile_from_distances(distances)
-    return ShadowReport(
-        start=start,
-        symbols=orbit.symbols,
-        horizon=orbit.horizon,
-        distances=distances,
-        profile=profile,
-        tail=tail_statistic(profile, window),
-        window=window,
-        bounds=bounds,
-        cumulative=float(distances.sum()),
-        cumulative_bound=cumulative_bound,
-        delta=delta,
+    report = _report(
+        ifs, start, orbit.symbols, orbit, window,
+        bounds=bounds, cumulative_bound=cumulative_bound, delta=delta,
     )
+    return replace(report, cumulative=float(report.distances.sum()))
 
 
 def average_distance_profile(
@@ -215,7 +205,8 @@ def brute_force_search(
     (ties: first candidate, then first word); greedy mode picks, at each step,
     the label landing nearest the next target point (ties: first label) and
     keeps the candidate with the least average (ties: first candidate).
-    Exhaustive work is capped at |labels|**word_length <= 10**6.
+    Exhaustive work is capped at |labels|**word_length <= 10**6, and the
+    triples counted by `evaluations` at 5 * 10**7 in either mode.
 
     Neither mode computes a decision twice.  Greedy candidates advance in
     lockstep as groups that share one state; two groups merge once their
@@ -283,6 +274,10 @@ def brute_force_search(
             evaluations=len(candidates) * n_words * (horizon + 1),
         )
 
+    triples = len(candidates) * horizon * len(labels)
+    if triples > _SEARCH_BUDGET:
+        raise BudgetExceededError(f"{triples} greedy triples exceed the search budget")
+
     def nearest(p, target):
         pick = None
         for label in labels:
@@ -316,5 +311,5 @@ def brute_force_search(
         report=report,
         candidate_index=ci,
         word=symbols,
-        evaluations=len(candidates) * horizon * len(labels),
+        evaluations=triples,
     )

@@ -461,18 +461,18 @@ class BoxCover(ABC):
     def locate(self, p: Point) -> int:
         """Index of the unique box containing p."""
 
-    @abstractmethod
     def near(self, p: Point, radius: float) -> list[int]:
         """Indices of boxes whose center lies within `radius` of p.
 
         The list is ascending and holds the boxes' own `index` objects, so
         graph rows built from it share one int per box rather than hold one
-        per edge.  The interval, circle and plane covers return slices of
-        index runs: along boxes ordered by one coordinate the centre distance
-        falls and then rises, so the boxes within `radius` form one run, and
-        trimming a window of such boxes from both ends finds it without
-        testing the boxes inside it.
+        per edge.  This default tests every box.  The interval, circle and
+        plane covers return slices of index runs: along boxes ordered by one
+        coordinate the centre distance falls and then rises, so the boxes
+        within `radius` form one run, and trimming a window of such boxes
+        from both ends finds it without testing the boxes inside it.
         """
+        return [b.index for b in self.boxes if self.space.distance(b.center, p) <= radius]
 
     def box_samples(self, index: int, count: int, seed: int = 0) -> list[Point]:
         """Deterministic space members inside box `index`; may fall short of
@@ -708,10 +708,6 @@ class Sigma2Cover(BoxCover):
             value = (value << 1) | p.item(k)
         return value
 
-    def near(self, p, radius):
-        return [b.index for b in self.boxes if self.space.distance(b.center, p) <= radius]
-
-
     def box_samples(self, index, count, seed=0):
         word = self.boxes[index].key
         rng = self._box_rng(index, seed)
@@ -771,9 +767,6 @@ class DiscreteCover(BoxCover):
 
     def locate(self, p):
         return p
-
-    def near(self, p, radius):
-        return [b.index for b in self.boxes if self.space.distance(b.center, p) <= radius]
 
 
 def grid_points(space: Space, resolution: int) -> list[Point]:

@@ -151,38 +151,6 @@ class SymbolStream:
         return tuple(self[i] for i in range(n))
 
 
-@dataclass(frozen=True)
-class RatioEstimate:
-    """Contraction ratio: exact when analytic, otherwise a sampled lower bound."""
-
-    value: float
-    analytic: bool
-    pairs: int
-
-
-def contraction_ratio(ifs: IFSystem, samples: int = 4096, seed: int = 0) -> RatioEstimate:
-    """Analytic ratio if declared, else the max distance ratio over sampled pairs."""
-    if ifs.ratio is not None:
-        return RatioEstimate(value=ifs.ratio, analytic=True, pairs=0)
-    rng = Random(mix_seed(seed, 0xA7))
-    best = 0.0
-    used = 0
-    attempts = 0
-    while used < samples:
-        attempts += 1
-        if attempts > 64 * samples + 64:
-            raise ValueError(f"{ifs.space.describe()} admits no two distinct sample points")
-        p = ifs.space.sample(rng)
-        q = ifs.space.sample(rng)
-        d = ifs.space.distance(p, q)
-        if d == 0.0:
-            continue
-        used += 1
-        for label in ifs.labels:
-            best = max(best, ifs.space.distance(ifs.apply(label, p), ifs.apply(label, q)) / d)
-    return RatioEstimate(value=best, analytic=False, pairs=used)
-
-
 def product_ifs(left: IFSystem, right: IFSystem) -> IFSystem:
     """Componentwise system on the product space; symbols are pairs."""
     from .spaces import ProductSpace

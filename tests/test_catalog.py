@@ -270,3 +270,5 @@ def test_chaos_game_is_deterministic_and_contained():
     assert all(gasket.space.contains(p) for p in pts)
     with pytest.raises(ValueError):
         chaos_game(gasket, (0.2, 0.1), 0)
+    with pytest.raises(ValueError, match="burn"):
+        chaos_game(gasket, (0.2, 0.1), 10, burn=-3)

@@ -1,4 +1,4 @@
-"""Box graphs, strong components, chain realization, absence certificates."""
+"""Box graphs, strong components, chain realization."""
 from __future__ import annotations
 
 import pytest
@@ -8,7 +8,6 @@ from ifs_shadow import (
     IFSystem,
     InfeasibleParameterError,
     Interval,
-    absence_certificate,
     analyze,
     build_chain_graph,
     find_chain,
@@ -64,17 +63,6 @@ def test_chain_descends_but_never_climbs(shrink_tower):
 
     assert find_chain(graph, 0.05, 0.9) is None
     assert find_chain(graph, 0.9, 0.9) is None
-    assert absence_certificate(graph, 0.05, 0.9)
-    assert not absence_certificate(graph, 0.9, 0.05)
-
-
-def test_certificate_implies_no_chain(shrink_tower):
-    ifs, graph = shrink_tower
-    probes = [0.12, 0.37, 0.62, 0.93]
-    for x in probes:
-        for y in probes:
-            if absence_certificate(graph, x, y):
-                assert find_chain(graph, x, y) is None
 
 
 def test_edges_grow_with_eps(shrink_tower):
@@ -126,4 +114,4 @@ def test_permutation_chain_is_the_true_orbit():
     assert chain is not None
     assert chain.orbit.points == (0, 1, 2)
     assert chain.orbit.errors == (0.0, 0.0)
-    assert absence_certificate(graph, 5, 0)
+    assert find_chain(graph, 5, 0) is None

@@ -308,9 +308,12 @@ def test_counterexample_budget_stops_huge_doublings(tmp_path, capsys) -> None:
         (["attractor", "--iterations", "2000000"], "attractor_points.tsv"),
         # 2049**2 pixels, just over the image budget of 2**22
         (["attractor", "--iterations", "200", "--resolution", "2049"], "attractor.pgm"),
+        # 2**16 cylinder centres x 2000 steps x 2 labels, over the search budget
+        # of 5e7; the run stops in about a second instead of searching for minutes
+        (["shadow", "--example", "sigma2_shift"], "shadow_search.csv"),
     ],
     ids=["chainrec-resolution", "counterexample-grid", "attractor-iterations",
-         "attractor-resolution"],
+         "attractor-resolution", "shadow-sigma2-candidates"],
 )
 def test_size_flags_stop_at_their_budget(tmp_path, capsys, argv, output) -> None:
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -374,11 +377,16 @@ def test_size_flags_stop_at_their_budget(tmp_path, capsys, argv, output) -> None
             "edges.txt": "726da65eca4a513d76833fcb088f6e8464c649ef4b6e2e735c820ac740411527",
             "recurrence.csv": "c33d9708b5088d295702f9ad3e9bf5f620cb48cbe89b3f78314d2d49445ca0d9",
         }),
+        # the first hop from x already lands on y: one step, no box in between
+        (["chainrec", "--example", "finite_set", "--eps", "0.5", "--resolution", "1",
+          "--chain-from", "0", "--chain-to", "2"], {
+            "chain.tsv": "0be8986bc0536aaedcc36f94843dc33a692991919a221b3522a9f79aef14f881",
+        }),
     ],
     ids=["shadow-gasket", "shadow-interval", "shadow-gasket-default", "shadow-interval-default",
          "orbit-sigma2", "orbit-finite-set",
          "orbit-sigma2-long", "orbit-sigma2-burst", "shadow-sigma2", "chainrec-sigma2",
-         "chainrec-gasket", "chainrec-interval"],
+         "chainrec-gasket", "chainrec-interval", "chainrec-finite-set-first-hop"],
 )
 def test_per_point_outputs_are_pinned(tmp_path, argv, digests) -> None:
     """Runs through every space whose point checks sit at the entry points,

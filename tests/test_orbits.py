@@ -316,6 +316,15 @@ def test_connector_degenerate_forward_hit():
     assert validate(orbit, 3.0 * 1.0 / 8).passed
 
 
+def test_connector_degenerate_hit_on_the_gasket_is_pinned():
+    """(1/8, 0) is two halvings from (1/2, 0): period 3, one seam jump each."""
+    gasket = make("sierpinski")
+    orbit = cyclic_connecting_orbit(gasket, (0.5, 0.0), (0.125, 0.0), primary=1, n0=8, horizon=7)
+    assert orbit.points == ((0.5, 0.0), (0.25, 0.0), (0.125, 0.0)) * 2 + ((0.5, 0.0), (0.25, 0.0))
+    assert orbit.symbols == (1,) * 7
+    assert orbit.errors == (0.0, 0.0, 0.4375, 0.0, 0.0, 0.4375, 0.0)
+
+
 def test_connector_requires_inverses_and_sane_period():
     bare = IFSystem(
         space=Interval(0.0, 1.0),

@@ -20,10 +20,10 @@ from ifs_shadow import (
     Sigma2,
     SpaceMismatchError,
     SymbolStream,
-    absence_certificate,
     brute_force_search,
     build_chain_graph,
     exact_orbit,
+    find_chain,
     grid_points,
     make,
 )
@@ -113,7 +113,7 @@ def test_type_checks_raise_mismatch():
     graph = build_chain_graph(make("finite_set", n=3), 0.5, 1)
     assert graph.cover.space == DiscretePoints(3)
     with pytest.raises(SpaceMismatchError):
-        absence_certificate(graph, 0, True)
+        find_chain(graph, 0, True)
 
 
 def test_circle_jump_moves_exactly_size():

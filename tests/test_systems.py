@@ -12,7 +12,6 @@ from ifs_shadow import (
     SymbolStream,
     UnknownSymbolError,
     conjugate_ifs,
-    contraction_ratio,
     make,
     power_ifs,
     product_ifs,
@@ -101,29 +100,6 @@ def test_random_stream_is_seed_deterministic():
     assert a.prefix(200) == b.prefix(200)
     assert a.prefix(200) != c.prefix(200)
     assert set(a.prefix(200)) <= {1, 2, 3}
-
-
-def test_contraction_ratio_analytic_passthrough(halving_pair):
-    est = contraction_ratio(halving_pair)
-    assert est.value == 0.5
-    assert est.analytic
-    assert est.pairs == 0
-
-
-def test_contraction_ratio_sampled_recovers_similarity_factor():
-    gasket = make("sierpinski")
-    stripped = IFSystem(
-        space=gasket.space,
-        labels=gasket.labels,
-        maps=gasket.maps,
-        ratio=None,
-        name="gasket-unlabelled",
-        check=False,
-    )
-    est = contraction_ratio(stripped, samples=512, seed=1)
-    assert not est.analytic
-    assert est.pairs == 512
-    assert abs(est.value - 0.5) < 1e-12
 
 
 def test_product_system_acts_componentwise():
