@@ -2,15 +2,19 @@
 
 A box graph discretizes eps-chains: boxes are nodes, and an edge B -> B' is
 recorded when some sampled point of B is mapped by some system map to within
-eps + radius of the center of B'.  The edges come from finitely many sampled
-points per box, so a missing path proves nothing about eps-chains between
-unsampled points.  Chain realization walks a stricter inner-slack graph
+eps + radius of the center of B'.  The cover answers each such query as
+ascending runs of box indices, and a box's row is the merge of the runs of
+all its samples and maps: an ascending tuple of the boxes' own `index`
+objects, built without a per-edge set.  The edges come from finitely many
+sampled points per box, so a missing path proves nothing about eps-chains
+between unsampled points.  Chain realization walks a stricter inner-slack graph
 (center within eps - radius) whose witness points chain together into a
 genuine eps-pseudo-orbit.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InfeasibleParameterError
@@ -62,14 +66,23 @@ def build_chain_graph(
     samples = tuple(
         tuple(cover.box_samples(i, samples_per_box, seed)) for i in range(len(cover))
     )
+    ids = cover.ids
     edges = []
     for i in range(len(cover)):
-        targets: set[int] = set()
+        runs: list[tuple[int, int]] = []
         for p in samples[i]:
             for label in use:
-                q = ifs.apply(label, p)
-                targets.update(cover.near(q, slack))
-        edges.append(tuple(sorted(targets)))
+                runs += cover.runs(ifs.apply(label, p), slack)
+        # sorted by start, every box from a run's start up to `end` is
+        # already in the row, so each run adds only what lies past `end`
+        runs.sort()
+        row: list[int] = []
+        end = 0
+        for a, b in runs:
+            if b > end:
+                row += ids[max(a, end):b]
+                end = b
+        edges.append(tuple(row))
     return ChainGraph(
         ifs=ifs,
         labels=use,
@@ -154,7 +167,11 @@ class RecurrenceReport:
 
 def analyze(graph: ChainGraph) -> RecurrenceReport:
     components = [c for c in _strong_components(graph.edges) if len(c) > 1]
-    loops = tuple(i for i, row in enumerate(graph.edges) if i in row)
+    loops = []
+    for i, row in enumerate(graph.edges):
+        k = bisect_left(row, i)  # rows are ascending
+        if k < len(row) and row[k] == i:
+            loops.append(i)
     recurrent = set(loops)
     for comp in components:
         recurrent.update(comp)
@@ -162,7 +179,7 @@ def analyze(graph: ChainGraph) -> RecurrenceReport:
     return RecurrenceReport(
         graph=graph,
         components=tuple(components),
-        self_loops=loops,
+        self_loops=tuple(loops),
         recurrent=frozenset(recurrent),
     )
 

@@ -215,6 +215,12 @@ def _cmd_shadow(args, config) -> int:
         _noise_model(noise, delta, jump_factor, period), mix_seed(seed, 3),
     )
     report = constructive_shadow(ifs, orbit, eps)
+    # search (and its budget check) before writing, so a failed run writes nothing
+    result = None
+    if search == "greedy":
+        result = brute_force_search(
+            ifs, orbit, grid_points(ifs.space, resolution), GreedySearch()
+        )
     resolved = {
         "command": "shadow", "example": ifs.name, "eps": eps, "horizon": horizon,
         "noise": noise, "jump_factor": jump_factor, "period": period,
@@ -224,10 +230,7 @@ def _cmd_shadow(args, config) -> int:
     reporting.write_shadow_report(path, report, resolved)
     print(f"wrote {path}")
     print(f"delta={delta:g} tail={report.tail:g} eps={eps:g} ok={report.tail < eps}")
-    if search == "greedy":
-        result = brute_force_search(
-            ifs, orbit, grid_points(ifs.space, resolution), GreedySearch()
-        )
+    if result is not None:
         spath = os.path.join(out, "shadow_search.csv")
         reporting.write_shadow_report(spath, result.report, resolved)
         print(f"wrote {spath}")

@@ -141,6 +141,7 @@ def run_sweep(
     win_count = max(1, math.ceil(count * window))
     win_start = count - win_count
     tails = sums.copy() if win_start <= 0 else np.zeros_like(sums)
+    buf = np.empty_like(sums)  # the window's running averages, reused each step
 
     near_anchor = np.minimum(_wrap_distance(x, 0.0), _wrap_distance(x, a))
     captured = near_anchor <= capture_tol
@@ -161,7 +162,7 @@ def run_sweep(
                     captured |= near <= capture_tol
         sums += _wrap_distance(x, targets[j]) if frozen is None else frozen[targets[j]]
         if j >= win_start:
-            np.maximum(tails, sums / (j + 1), out=tails)
+            np.maximum(tails, np.divide(sums, j + 1, out=buf), out=tails)
 
     return CounterexampleSweep(
         a=a,

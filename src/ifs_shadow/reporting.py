@@ -157,9 +157,12 @@ def render_edges(graph: ChainGraph, config: dict | None = None) -> str:
     lines.extend(_config_lines(config or {}))
     lines.append(f"# boxes = {len(graph)}")
     lines.append(f"# eps = {fmt(graph.eps)}")
+    # one string per non-empty row, not one per edge: "src dst" lines joined
+    names = [str(i) for i in range(len(graph))]
     for src, row in enumerate(graph.edges):
-        for dst in row:
-            lines.append(f"{src} {dst}")
+        if row:
+            head = names[src] + " "
+            lines.append(head + ("\n" + head).join(map(names.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -184,11 +187,12 @@ def render_recurrence(report: RecurrenceReport, config: dict | None = None) -> s
     lines.append(f"# components = {len(report.components)}")
     coord_names = ",".join(space.coord_labels())
     lines.append(f"box,{coord_names},recurrent,component,self_loop")
+    loops = set(report.self_loops)
     for box in cover.boxes:
         coords = ",".join(space.format_coords(box.center))
         lines.append(
             f"{box.index},{coords},{int(box.index in report.recurrent)},"
-            f"{comp_of.get(box.index, -1)},{int(box.index in report.self_loops)}"
+            f"{comp_of.get(box.index, -1)},{int(box.index in loops)}"
         )
     return "\n".join(lines) + "\n"
 

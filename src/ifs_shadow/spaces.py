@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 from random import Random
 from typing import Callable, Sequence
@@ -461,18 +462,48 @@ class BoxCover(ABC):
     def locate(self, p: Point) -> int:
         """Index of the unique box containing p."""
 
+    @cached_property
+    def ids(self) -> list[int]:
+        """The boxes' own `index` objects, in cover order (box i has index i)."""
+        return [b.index for b in self.boxes]
+
+    def runs(self, p: Point, radius: float) -> list[tuple[int, int]]:
+        """Boxes whose center lies within `radius` of p, as index runs.
+
+        The runs are disjoint, ascending, non-empty half-open ranges
+        `(a, b)`, standing for boxes a, a + 1, ..., b - 1; `build_chain_graph`
+        merges the runs of a box's queries into its graph row.  This default
+        tests every box.  The interval, circle and plane covers trim windows
+        instead: along boxes ordered by one coordinate the centre distance
+        falls and then rises, so the boxes within `radius` form one run, and
+        trimming a window of such boxes from both ends finds it without
+        testing the boxes inside it.
+        """
+        out = []
+        start = None
+        for i, b in enumerate(self.boxes):
+            if self.space.distance(b.center, p) <= radius:
+                if start is None:
+                    start = i
+            elif start is not None:
+                out.append((start, i))
+                start = None
+        if start is not None:
+            out.append((start, len(self.boxes)))
+        return out
+
     def near(self, p: Point, radius: float) -> list[int]:
         """Indices of boxes whose center lies within `radius` of p.
 
-        The list is ascending and holds the boxes' own `index` objects, so
-        graph rows built from it share one int per box rather than hold one
-        per edge.  This default tests every box.  The interval, circle and
-        plane covers return slices of index runs: along boxes ordered by one
-        coordinate the centre distance falls and then rises, so the boxes
-        within `radius` form one run, and trimming a window of such boxes
-        from both ends finds it without testing the boxes inside it.
+        The list is the concatenation of `ids[a:b]` over `runs(p, radius)`:
+        ascending, and holding the boxes' own `index` objects, as graph rows
+        do, so that rows and searches share one int per box.
         """
-        return [b.index for b in self.boxes if self.space.distance(b.center, p) <= radius]
+        ids = self.ids
+        out = []
+        for a, b in self.runs(p, radius):
+            out += ids[a:b]
+        return out
 
     def box_samples(self, index: int, count: int, seed: int = 0) -> list[Point]:
         """Deterministic space members inside box `index`; may fall short of
@@ -526,7 +557,6 @@ class IntervalCover(BoxCover):
             for i in range(resolution)
         )
         self._centers = [b.center for b in self.boxes]
-        self._ids = [b.index for b in self.boxes]
 
     def locate(self, p):
         if self.wrap:
@@ -534,8 +564,8 @@ class IntervalCover(BoxCover):
         i = int((p - self.lo) / self.width)
         return min(max(i, 0), self.resolution - 1)
 
-    def near(self, p, radius):
-        """Boxes within `radius` of p, as runs of an ascending index window.
+    def runs(self, p, radius):
+        """Boxes within `radius` of p, as the runs of an ascending index window.
 
         Centres increase with the index, and rounded subtraction, `abs` and
         `1.0 - d` are monotone, so along an ascending range `abs(c - p)`
@@ -544,16 +574,17 @@ class IntervalCover(BoxCover):
         at least one width past `p ± radius`, and a centre more than 1/2 from
         p along it lies at least three widths past `radius` the short way
         round; so in each ascending range of the arc the passing boxes, under
-        `min(d, 1.0 - d) <= radius`, are again one run.
+        `min(d, 1.0 - d) <= radius`, are again one run.  That gives one run
+        on the interval and up to three on the circle.
         """
         if radius < 0.0:
             return []
         n = self.resolution
-        centers, ids = self._centers, self._ids
+        centers = self._centers
         wrap = self.wrap
         if wrap:
             if 2.0 * radius >= 1.0:  # no circle point is more than 1/2 away
-                return ids[:]
+                return [(0, n)]
             p = p % 1.0
 
         def dist(c):
@@ -565,10 +596,10 @@ class IntervalCover(BoxCover):
         if not wrap:
             spans = ((lo, hi),)
         elif hi - lo >= n:
-            return [i for i, c in zip(ids, centers) if dist(c) <= radius]
+            return super().runs(p, radius)
         else:
             # the window wraps past at most one end; listing the wrapped
-            # part on its own side keeps the indices ascending
+            # part on its own side keeps the runs ascending and disjoint
             spans = ((0, hi - n), (lo, hi), (n + lo, n))
         out = []
         for a, b in spans:
@@ -578,7 +609,8 @@ class IntervalCover(BoxCover):
                 a += 1
             while a < b and dist(centers[b - 1]) > radius:
                 b -= 1
-            out += ids[a:b]
+            if a < b:
+                out.append((a, b))
         return out
 
     def box_samples(self, index, count, seed=0):
@@ -621,7 +653,6 @@ class PlaneCover(BoxCover):
         # bitwise the floats of Box.center
         self._xs = [b.center[0] for b in self.boxes[:resolution]]
         self._ys = [self.boxes[iy * resolution].center[1] for iy in range(resolution)]
-        self._ids = [b.index for b in self.boxes]
 
     def _axis(self, value, origin, width):
         i = int((value - origin) / width)
@@ -632,7 +663,7 @@ class PlaneCover(BoxCover):
         iy = self._axis(p[1], self.space.y0, self.wy)
         return iy * self.resolution + ix
 
-    def near(self, p, radius):
+    def runs(self, p, radius):
         """Boxes within `radius` of p, as one column run per row of the window.
 
         Box (ix, iy)'s centre is (xs[ix], ys[iy]), so in a row y is fixed and
@@ -644,6 +675,12 @@ class PlaneCover(BoxCover):
         while D is under about 4000 rectangle widths; so for such radii the
         rounded test still passes one run of columns per row, and each row's
         column window is trimmed from both ends.
+
+        A row with `abs(dy) > radius` is skipped untested, and that is exact:
+        the true `sqrt(dx**2 + dy**2)` is at least the float `abs(dy)`, and
+        `hypot` is off by less than one ulp, so its result never falls below
+        a float at or under the true value; every box of such a row fails.
+        A row with `abs(dy) == radius` may still hold the box at dx == 0.
         """
         if radius < 0.0:
             return []
@@ -653,17 +690,20 @@ class PlaneCover(BoxCover):
         iy0 = self._axis(py, self.space.y0, self.wy)
         sx = int(radius / self.wx) + 2
         sy = int(radius / self.wy) + 2
-        xs, ys, ids = self._xs, self._ys, self._ids
+        xs, ys = self._xs, self._ys
         left, right = max(ix0 - sx, 0), min(ix0 + sx + 1, n)
         out = []
         for iy in range(max(iy0 - sy, 0), min(iy0 + sy + 1, n)):
             dy = ys[iy] - py
+            if abs(dy) > radius:
+                continue
             a, b = left, right
             while a < b and math.hypot(xs[a] - px, dy) > radius:
                 a += 1
             while a < b and math.hypot(xs[b - 1] - px, dy) > radius:
                 b -= 1
-            out += ids[iy * n + a:iy * n + b]
+            if a < b:
+                out.append((iy * n + a, iy * n + b))
         return out
 
     def box_samples(self, index, count, seed=0):
@@ -741,14 +781,17 @@ class ProductCover(BoxCover):
     def locate(self, p):
         return self.left.locate(p[0]) * len(self.right) + self.right.locate(p[1])
 
-    def near(self, p, radius):
-        cols = self.right.near(p[1], radius)
+    def runs(self, p, radius):
+        """Left runs times right runs: the product metric is the max of the
+        two, so a box passes when its left and right boxes both do."""
+        width = len(self.right)
+        cols = self.right.runs(p[1], radius)
         return [
-            ia * len(self.right) + ib
-            for ia in self.left.near(p[0], radius)
-            for ib in cols
+            (base + a, base + b)
+            for la, lb in self.left.runs(p[0], radius)
+            for base in range(la * width, lb * width, width)
+            for a, b in cols
         ]
-
 
     def box_samples(self, index, count, seed=0):
         ia, ib = divmod(index, len(self.right))

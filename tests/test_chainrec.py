@@ -1,7 +1,10 @@
 """Box graphs, strong components, chain realization."""
 from __future__ import annotations
 
+import functools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ifs_shadow import (
     DiscretePoints,
@@ -12,6 +15,7 @@ from ifs_shadow import (
     build_chain_graph,
     find_chain,
     make,
+    product_ifs,
 )
 
 
@@ -115,3 +119,87 @@ def test_permutation_chain_is_the_true_orbit():
     assert chain.orbit.points == (0, 1, 2)
     assert chain.orbit.errors == (0.0, 0.0)
     assert find_chain(graph, 5, 0) is None
+
+
+def _reference_edges(ifs, eps, resolution, labels=None, samples_per_box=3, seed=0):
+    """Reference: the set-and-sort row build, querying every box's centre."""
+    use = tuple(labels) if labels is not None else ifs.labels
+    cover = ifs.space.box_cover(resolution)
+    slack = eps + cover.boxes[0].radius
+    edges = []
+    for i in range(len(cover)):
+        targets: set[int] = set()
+        for p in cover.box_samples(i, samples_per_box, seed):
+            for label in use:
+                q = ifs.apply(label, p)
+                targets.update(
+                    b.index for b in cover.boxes if ifs.space.distance(b.center, q) <= slack
+                )
+        edges.append(tuple(sorted(targets)))
+    return tuple(edges)
+
+
+def _gasket_onto_one_centre(resolution=8, ix=4, iy=1):
+    """A constant map of the gasket onto box (ix, iy)'s centre, and the eps
+    whose query radius is exactly that centre's distance to the row above,
+    so that row holds a box at `abs(dy) == radius`."""
+    space = make("sierpinski").space
+    cover = space.box_cover(resolution)
+    centre = cover.boxes[iy * resolution + ix].center
+    above = cover.boxes[(iy + 1) * resolution + ix].center
+    dy = above[1] - centre[1]
+    eps = dy - cover.boxes[0].radius
+    assert eps + cover.boxes[0].radius == dy
+    ifs = IFSystem(space=space, labels=("c",), maps={"c": lambda p: centre}, name="onto")
+    return ifs, eps, resolution
+
+
+@functools.cache
+def _system(name):
+    if name == "onto_centre":
+        return _gasket_onto_one_centre()[0]
+    if name == "product":
+        return product_ifs(make("minimal_pair"), make("circle_counterexample"))
+    return make(name)
+
+
+# resolutions small enough for the per-box reference, large enough for long runs
+_SIZES = {"minimal_pair": 48, "circle_counterexample": 48, "sierpinski": 10,
+          "product": 6, "sigma2_shift": 6, "finite_set": 2, "onto_centre": 8}
+
+
+@st.composite
+def _graph_params(draw):
+    name = draw(st.sampled_from(sorted(_SIZES)))
+    resolution = draw(st.integers(1, _SIZES[name]))
+    eps = draw(st.floats(1e-3, 0.6) | st.sampled_from([0.01, 0.02, 0.05, 0.2, 0.45]))
+    return name, eps, resolution, draw(st.integers(1, 4)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph_params())
+# circle windows that wrap past 0 or 1, and whole-circle windows (hi - lo >= n)
+@example(("circle_counterexample", 0.02, 48, 3, 0))
+@example(("circle_counterexample", 0.2, 4, 3, 1))
+@example(("circle_counterexample", 0.45, 3, 4, 0))
+# a gasket row at abs(dy) == radius
+@example(("onto_centre", _gasket_onto_one_centre()[1], 8, 1, 0))
+@example(("product", 0.05, 6, 3, 0))
+@example(("sigma2_shift", 0.1, 5, 3, 2))
+@example(("finite_set", 0.5, 1, 1, 0))
+def test_merged_runs_match_the_set_and_sort_build(params):
+    """Rows merged from the covers' index runs hold the same boxes, in the
+    same order, as a set of every passing centre sorted."""
+    name, eps, resolution, samples, seed = params
+    ifs = _system(name)
+    graph = build_chain_graph(ifs, eps, resolution, samples_per_box=samples, seed=seed)
+    assert graph.edges == _reference_edges(ifs, eps, resolution, None, samples, seed)
+    assert all(i is graph.cover.boxes[i].index for row in graph.edges for i in row)
+
+
+def test_gasket_row_at_the_query_radius_is_in_the_graph():
+    ifs, eps, resolution = _gasket_onto_one_centre()
+    graph = build_chain_graph(ifs, eps, resolution, samples_per_box=1)
+    above = 2 * resolution + 4  # box (4, 2), at distance exactly the radius
+    assert all(above in row for row in graph.edges if row)
+    assert graph.edges == _reference_edges(ifs, eps, resolution, None, 1)

@@ -121,6 +121,16 @@ def test_shadow_needs_contraction_ratio(tmp_path, capsys) -> None:
     assert "no analytic contraction ratio" in capsys.readouterr().err
 
 
+def test_shadow_stopped_by_the_search_budget_writes_nothing(tmp_path, capsys) -> None:
+    # 2**16 cylinder centres times 2000 steps exceed the greedy search budget
+    code = main(["shadow", "--example", "sigma2_shift", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "exceed the search budget" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_shadow_writes_constructive_and_search_reports(tmp_path, capsys) -> None:
     code = main(["shadow", "--out", str(tmp_path), "--horizon", "60",
                  "--eps", "0.3", "--candidates", "4", "--seed", "2"])

@@ -1,6 +1,7 @@
 """File formats: exact float round trips, atomicity, deterministic bytes."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 
@@ -166,6 +167,29 @@ def test_edge_and_recurrence_tables():
     assert len(data) == len(graph)
     flags = {int(r.split(",")[0]): bool(int(r.split(",")[2])) for r in data}
     assert all(flags[i] == (i in report.recurrent) for i in range(len(graph)))
+
+
+def _reference_render_edges(graph, config=None):
+    """Reference: one "src dst" line per edge."""
+    lines = ["# ifs-shadow chain graph edges"]
+    lines.extend(f"# {key} = {(config or {})[key]}" for key in sorted(config or {}))
+    lines.append(f"# boxes = {len(graph)}")
+    lines.append(f"# eps = {fmt(graph.eps)}")
+    for src, row in enumerate(graph.edges):
+        for dst in row:
+            lines.append(f"{src} {dst}")
+    return "\n".join(lines) + "\n"
+
+
+def test_render_edges_matches_the_per_edge_lines():
+    # exterior gasket boxes have no samples, so their rows are empty
+    graph = build_chain_graph(make("sierpinski"), eps=0.05, resolution=12)
+    assert any(not row for row in graph.edges) and graph.n_edges > 0
+    config = {"example": "sierpinski", "eps": 0.05}
+    assert render_edges(graph, config) == _reference_render_edges(graph, config)
+    bare = dataclasses.replace(graph, edges=((),) * len(graph))
+    assert render_edges(bare) == _reference_render_edges(bare)
+    assert render_edges(bare).endswith(f"# eps = {fmt(graph.eps)}\n")
 
 
 def test_sweep_table_shape():

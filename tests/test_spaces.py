@@ -175,6 +175,15 @@ def test_locate_finds_each_center(cover_case):
         assert cover.locate(box.center) == box.index
 
 
+def _assert_runs_flatten_to_near(cover, p, radius):
+    """`runs` gives disjoint, ascending, non-empty half-open ranges whose
+    concatenation is `near`."""
+    runs = cover.runs(p, radius)
+    assert all(a < b for a, b in runs)
+    assert all(b <= a for (_, b), (a, _) in zip(runs, runs[1:]))
+    assert [i for a, b in runs for i in range(a, b)] == cover.near(p, radius)
+
+
 def test_near_matches_brute_force_center_filter(cover_case):
     space, cover = cover_case
     rng = Random(0x5CAB)
@@ -184,7 +193,9 @@ def test_near_matches_brute_force_center_filter(cover_case):
         # ascending: box-graph searches visit the boxes in this order
         expected = [b.index for b in cover.boxes if space.distance(b.center, p) <= radius]
         assert cover.near(p, radius) == expected
+        _assert_runs_flatten_to_near(cover, p, radius)
         assert cover.near(p, -1.0) == []
+        assert cover.runs(p, -1.0) == []
 
 
 @pytest.mark.parametrize("resolution", [1, 2, 3, 2048])
@@ -301,6 +312,24 @@ def test_near_runs_match_the_per_box_reference(query):
     cover, p, radius = query
     reference = _reference_plane_near if isinstance(cover, PlaneCover) else _reference_interval_near
     assert cover.near(p, radius) == reference(cover, p, radius)
+    _assert_runs_flatten_to_near(cover, p, radius)
+
+
+@pytest.mark.parametrize("space", [PlaneRegion(0.0, 0.0, 1.0, 1.0), make("sierpinski").space],
+                         ids=["square", "triangle"])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_plane_row_at_exactly_the_radius_is_tested(space, rows):
+    """Rows with abs(dy) > radius are skipped; one with abs(dy) == radius
+    still holds the box straight above p, at hypot(0, dy) == radius."""
+    cover = space.box_cover(16)
+    ix, iy = 7, 4
+    p = cover.boxes[iy * 16 + ix].center
+    above = cover.boxes[(iy + rows) * 16 + ix]
+    radius = abs(above.center[1] - p[1])
+    found = cover.near(p, radius)
+    assert above.index in found
+    assert found == _reference_plane_near(cover, p, radius)
+    _assert_runs_flatten_to_near(cover, p, radius)
 
 
 @pytest.mark.parametrize(
