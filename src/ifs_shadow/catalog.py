@@ -209,21 +209,6 @@ def circle_halfpoint() -> ExampleDescriptor:
     )
 
 
-_FACTORIES = {
-    "finite_set": finite_set,
-    "sierpinski": sierpinski,
-    "minimal_pair": minimal_pair,
-    "sigma2_shift": sigma2_shift,
-    "circle_counterexample": circle_counterexample,
-    "circle_halfpoint": circle_halfpoint,
-}
-
-
-def all_examples() -> list[ExampleDescriptor]:
-    """One descriptor per catalog entry, at default parameters."""
-    return [factory() for factory in _FACTORIES.values()]
-
-
 # --------------------------------------------------------------------------
 # builders
 
@@ -332,31 +317,41 @@ def _build_sigma2_shift() -> IFSystem:
     )
 
 
+def _build_circle_counterexample(a: float) -> IFSystem:
+    return _circle_system(f"circle_counterexample({a:g})", circle_polynomials(a))
+
+
+def _build_circle_halfpoint() -> IFSystem:
+    return _circle_system("circle_halfpoint", halfpoint_polynomials())
+
+
+# name -> (descriptor factory, builder taking the descriptor's parameters)
+_EXAMPLES = {
+    "finite_set": (finite_set, _build_finite_set),
+    "sierpinski": (sierpinski, _build_sierpinski),
+    "minimal_pair": (minimal_pair, _build_minimal_pair),
+    "sigma2_shift": (sigma2_shift, _build_sigma2_shift),
+    "circle_counterexample": (circle_counterexample, _build_circle_counterexample),
+    "circle_halfpoint": (circle_halfpoint, _build_circle_halfpoint),
+}
+
+
+def all_examples() -> list[ExampleDescriptor]:
+    """One descriptor per catalog entry, at default parameters."""
+    return [factory() for factory, _ in _EXAMPLES.values()]
+
+
 def make(example: ExampleDescriptor | str, **overrides) -> IFSystem:
     """Build the system for a descriptor, or for a name plus parameters."""
-    if isinstance(example, str):
-        if example not in _FACTORIES:
-            raise KeyError(f"unknown example {example!r}")
-        example = _FACTORIES[example](**overrides)
-    elif overrides:
+    if overrides and not isinstance(example, str):
         raise TypeError("parameter overrides need a name, not a descriptor")
-    params = example.parameters
-    if example.name == "finite_set":
-        return _build_finite_set(params["n"])
-    if example.name == "sierpinski":
-        return _build_sierpinski()
-    if example.name == "minimal_pair":
-        return _build_minimal_pair(params["alpha"])
-    if example.name == "sigma2_shift":
-        return _build_sigma2_shift()
-    if example.name == "circle_counterexample":
-        return _circle_system(
-            f"circle_counterexample({params['a']:g})",
-            circle_polynomials(params["a"]),
-        )
-    if example.name == "circle_halfpoint":
-        return _circle_system("circle_halfpoint", halfpoint_polynomials())
-    raise KeyError(f"unknown example {example.name!r}")
+    name = example if isinstance(example, str) else example.name
+    if name not in _EXAMPLES:
+        raise KeyError(f"unknown example {name!r}")
+    factory, build = _EXAMPLES[name]
+    if isinstance(example, str):
+        example = factory(**overrides)
+    return build(**example.parameters)
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,8 @@ A box graph discretizes eps-chains: boxes are nodes, and an edge B -> B' is
 recorded when some sampled point of B is mapped by some system map to within
 eps + radius of the center of B'.  The cover answers each such query as
 ascending runs of box indices, and a box's row is the merge of the runs of
-all its samples and maps: an ascending tuple of the boxes' own `index`
-objects, built without a per-edge set.  The edges come from finitely many
+all its samples and maps: an ascending tuple of the cover's `ids` objects,
+built without a per-edge set.  The edges come from finitely many
 sampled points per box, so a missing path proves nothing about eps-chains
 between unsampled points.  Chain realization walks a stricter inner-slack graph
 (center within eps - radius) whose witness points chain together into a
@@ -61,8 +61,7 @@ def build_chain_graph(
         if label not in ifs.maps:
             raise KeyError(f"unknown label {label!r}")
     cover = ifs.space.box_cover(resolution)
-    radius = cover.boxes[0].radius
-    slack = eps + radius
+    slack = eps + cover.radius
     samples = tuple(
         tuple(cover.box_samples(i, samples_per_box, seed)) for i in range(len(cover))
     )
@@ -208,10 +207,10 @@ def find_chain(graph: ChainGraph, x: Point, y: Point) -> RealizedChain | None:
     space = ifs.space
     cover = graph.cover
     eps = graph.eps
-    inner = eps - cover.boxes[0].radius
+    inner = eps - cover.radius
     if inner <= 0.0:
         raise InfeasibleParameterError(
-            f"boxes of radius {cover.boxes[0].radius:g} are too coarse for eps = {eps:g}"
+            f"boxes of radius {cover.radius:g} are too coarse for eps = {eps:g}"
         )
     space.check_point(x)
     space.check_point(y)

@@ -188,11 +188,11 @@ def render_recurrence(report: RecurrenceReport, config: dict | None = None) -> s
     coord_names = ",".join(space.coord_labels())
     lines.append(f"box,{coord_names},recurrent,component,self_loop")
     loops = set(report.self_loops)
-    for box in cover.boxes:
-        coords = ",".join(space.format_coords(box.center))
+    for box, center in enumerate(cover.centers):
+        coords = ",".join(space.format_coords(center))
         lines.append(
-            f"{box.index},{coords},{int(box.index in report.recurrent)},"
-            f"{comp_of.get(box.index, -1)},{int(box.index in loops)}"
+            f"{box},{coords},{int(box in report.recurrent)},"
+            f"{comp_of.get(box, -1)},{int(box in loops)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -266,25 +266,23 @@ def rasterize(ifs: IFSystem, points: Iterable[Point], resolution: int) -> bytes:
     if resolution < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
     space = ifs.space
-    if isinstance(space, PlaneRegion):
+    plane = isinstance(space, PlaneRegion)
+    if plane:
         width = height = resolution
-        counts = _blank_image(width, height)
-        sx = (space.x1 - space.x0) / width
-        sy = (space.y1 - space.y0) / height
-        for p in points:
-            ix = min(max(int((p[0] - space.x0) / sx), 0), width - 1)
-            iy = min(max(int((p[1] - space.y0) / sy), 0), height - 1)
-            counts[(height - 1 - iy) * width + ix] += 1
     elif isinstance(space, (Interval, Circle)):
         width, height = resolution, max(resolution // 8, 1)
-        counts = _blank_image(width, height)
-        cover = space.box_cover(width)
-        for p in points:
+    else:
+        raise ValueError(f"cannot rasterize points of {space.describe()}")
+    counts = _blank_image(width, height)  # the budget check, before the cover
+    cover = space.box_cover(width)
+    for p in points:
+        if plane:
+            iy, ix = divmod(cover.locate(p), width)
+            counts[(height - 1 - iy) * width + ix] += 1  # row 0 is the top
+        else:
             ix = cover.locate(p)
             for iy in range(height):
                 counts[iy * width + ix] += 1
-    else:
-        raise ValueError(f"cannot rasterize points of {space.describe()}")
     peak = max(counts) or 1
     shades = bytes(
         0 if c == 0 else min(255, 64 + int(191 * math.sqrt(c / peak))) for c in counts

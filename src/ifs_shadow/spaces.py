@@ -432,40 +432,35 @@ class ProductSpace(Space):
 # box covers
 
 
-@dataclass(frozen=True, eq=False)
-class Box:
-    """One cell of a cover: integer index, grid key, center point, radius.
-
-    The radius is the largest distance from the center to any box point, so
-    `distance(p, center) <= slack + radius` is a sound reachability test.
-    """
-
-    index: int
-    key: tuple
-    center: Point
-    radius: float
-    lower: tuple | None = None
-    upper: tuple | None = None
-
-
 class BoxCover(ABC):
-    """Disjoint cover of a space by finitely many boxes."""
+    """Disjoint cover of a space by finitely many boxes, addressed by index.
+
+    Box i is the integer i: a cover keeps no per-box record, and derives what
+    it needs of a box from its index.  Every box has the same `radius`, the
+    largest distance from a box's centre to any of its points, so
+    `distance(p, centers[i]) <= slack + radius` is a sound reachability test.
+    """
 
     space: Space
     resolution: int
-    boxes: tuple[Box, ...]
+    radius: float
 
-    def __len__(self) -> int:
-        return len(self.boxes)
+    @abstractmethod
+    def __len__(self) -> int: ...
 
     @abstractmethod
     def locate(self, p: Point) -> int:
         """Index of the unique box containing p."""
 
+    @property
+    @abstractmethod
+    def centers(self) -> list[Point]:
+        """Box centres in index order; each cover builds the list on first use."""
+
     @cached_property
     def ids(self) -> list[int]:
-        """The boxes' own `index` objects, in cover order (box i has index i)."""
-        return [b.index for b in self.boxes]
+        """Box indices 0, 1, ..., len - 1, one int object per box."""
+        return list(range(len(self)))
 
     def runs(self, p: Point, radius: float) -> list[tuple[int, int]]:
         """Boxes whose center lies within `radius` of p, as index runs.
@@ -481,23 +476,23 @@ class BoxCover(ABC):
         """
         out = []
         start = None
-        for i, b in enumerate(self.boxes):
-            if self.space.distance(b.center, p) <= radius:
+        for i, c in enumerate(self.centers):
+            if self.space.distance(c, p) <= radius:
                 if start is None:
                     start = i
             elif start is not None:
                 out.append((start, i))
                 start = None
         if start is not None:
-            out.append((start, len(self.boxes)))
+            out.append((start, len(self)))
         return out
 
     def near(self, p: Point, radius: float) -> list[int]:
         """Indices of boxes whose center lies within `radius` of p.
 
         The list is the concatenation of `ids[a:b]` over `runs(p, radius)`:
-        ascending, and holding the boxes' own `index` objects, as graph rows
-        do, so that rows and searches share one int per box.
+        ascending, and holding the objects of `ids`, as graph rows do, so
+        that rows and searches share one int per box.
         """
         ids = self.ids
         out = []
@@ -508,18 +503,19 @@ class BoxCover(ABC):
     def box_samples(self, index: int, count: int, seed: int = 0) -> list[Point]:
         """Deterministic space members inside box `index`; may fall short of
         `count` (or be empty) when the box barely meets the space."""
-        center = self.boxes[index].center
+        center = self.centers[index]
         return [center] if self.space.contains(center) else []
 
     def _box_rng(self, index: int, seed: int) -> Random:
         return Random(mix_seed(seed, index, 0xB0DE5))
 
 
-# Size guard, checked before a cover allocates its boxes: Sigma2's cap of 2**20
-# cylinders sits 64 times below it, the CLI defaults (at most 65 536 boxes) far more.
-# It bounds boxes, not bytes: `tracemalloc` counts 401 bytes per box on the
-# interval and 545 on the plane at 2**16 boxes (Box records plus the centre and
-# index lists `near` reads), so a cover at the budget would take 27 or 37 GB.
+# Size guard, checked before a cover is built: Sigma2's cap of 2**20 cylinders
+# sits 64 times below it, the CLI defaults (at most 65 536 boxes) far more.
+# It bounds boxes, not bytes: `tracemalloc` counts 72 bytes per box on the
+# interval and 104 on the plane at 2**16 boxes, once `near` has built the
+# `ids` and `centers` lists (`len` and `locate` build neither), so a cover at
+# the budget would take about 4.9 or 7.0 GB.
 _MAX_BOXES = 1 << 26
 
 
@@ -544,19 +540,15 @@ class IntervalCover(BoxCover):
         self.wrap = isinstance(space, Circle)
         self.lo, hi = (0.0, 1.0) if self.wrap else (space.lo, space.hi)
         self.width = (hi - self.lo) / resolution
-        half = self.width / 2.0
-        self.boxes = tuple(
-            Box(
-                index=i,
-                key=(i,),
-                center=self.lo + (i + 0.5) * self.width,
-                radius=half,
-                lower=(self.lo + i * self.width,),
-                upper=(self.lo + (i + 1) * self.width,),
-            )
-            for i in range(resolution)
-        )
-        self._centers = [b.center for b in self.boxes]
+        self.radius = self.width / 2.0
+
+    def __len__(self):
+        return self.resolution
+
+    @cached_property
+    def centers(self):
+        lo, width = self.lo, self.width
+        return [lo + (i + 0.5) * width for i in range(self.resolution)]
 
     def locate(self, p):
         if self.wrap:
@@ -580,7 +572,7 @@ class IntervalCover(BoxCover):
         if radius < 0.0:
             return []
         n = self.resolution
-        centers = self._centers
+        centers = self.centers
         wrap = self.wrap
         if wrap:
             if 2.0 * radius >= 1.0:  # no circle point is more than 1/2 away
@@ -614,16 +606,24 @@ class IntervalCover(BoxCover):
         return out
 
     def box_samples(self, index, count, seed=0):
-        b = self.boxes[index]
         rng = self._box_rng(index, seed)
-        out = [b.center]
+        lower = self.lo + index * self.width
+        out = [self.lo + (index + 0.5) * self.width]
         while len(out) < count:
-            x = b.lower[0] + rng.random() * self.width
+            x = lower + rng.random() * self.width
             out.append(x % 1.0 if self.wrap else x)
         return out[:count]
 
 
+def _midpoints(origin: float, width: float, n: int) -> list[float]:
+    """Centres of n cells of `width` from `origin`, as (lower + upper) / 2."""
+    return [((origin + i * width) + (origin + (i + 1) * width)) / 2.0 for i in range(n)]
+
+
 class PlaneCover(BoxCover):
+    """n x n equal boxes on a region's bounding rectangle: box iy*n + ix has
+    centre (xs[ix], ys[iy]), and the cover keeps only those two axis lists."""
+
     def __init__(self, space: PlaneRegion, resolution: int):
         if resolution < 1:
             raise ValueError("resolution must be positive")
@@ -632,27 +632,17 @@ class PlaneCover(BoxCover):
         self.resolution = resolution
         self.wx = (space.x1 - space.x0) / resolution
         self.wy = (space.y1 - space.y0) / resolution
-        radius = math.hypot(self.wx, self.wy) / 2.0
-        boxes = []
-        for iy in range(resolution):
-            for ix in range(resolution):
-                lo = (space.x0 + ix * self.wx, space.y0 + iy * self.wy)
-                hi = (space.x0 + (ix + 1) * self.wx, space.y0 + (iy + 1) * self.wy)
-                boxes.append(
-                    Box(
-                        index=iy * resolution + ix,
-                        key=(ix, iy),
-                        center=((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0),
-                        radius=radius,
-                        lower=lo,
-                        upper=hi,
-                    )
-                )
-        self.boxes = tuple(boxes)
-        # a centre's x depends only on ix and its y only on iy, so these are
-        # bitwise the floats of Box.center
-        self._xs = [b.center[0] for b in self.boxes[:resolution]]
-        self._ys = [self.boxes[iy * resolution].center[1] for iy in range(resolution)]
+        self.radius = math.hypot(self.wx, self.wy) / 2.0
+        self._xs = _midpoints(space.x0, self.wx, resolution)
+        self._ys = _midpoints(space.y0, self.wy, resolution)
+
+    def __len__(self):
+        return self.resolution * self.resolution
+
+    @cached_property
+    def centers(self):
+        xs = self._xs
+        return [(x, y) for y in self._ys for x in xs]
 
     def _axis(self, value, origin, width):
         i = int((value - origin) / width)
@@ -708,39 +698,42 @@ class PlaneCover(BoxCover):
 
     def box_samples(self, index, count, seed=0):
         # boundary boxes may hold few members, fully exterior boxes none
-        b = self.boxes[index]
+        iy, ix = divmod(index, self.resolution)
+        space = self.space
+        x0, y0 = space.x0 + ix * self.wx, space.y0 + iy * self.wy
         rng = self._box_rng(index, seed)
-        out = [b.center] if self.space.contains(b.center) else []
+        center = (self._xs[ix], self._ys[iy])
+        out = [center] if space.contains(center) else []
         for _ in range(16 * count):
             if len(out) >= count:
                 break
-            p = (b.lower[0] + rng.random() * self.wx, b.lower[1] + rng.random() * self.wy)
-            if self.space.contains(p):
+            p = (x0 + rng.random() * self.wx, y0 + rng.random() * self.wy)
+            if space.contains(p):
                 out.append(p)
         return out[:count]
 
 
 class Sigma2Cover(BoxCover):
-    """Cylinder cover: all words of the given length."""
+    """Cylinder cover: all words of the given length; box i is the word
+    spelling i in binary, most significant bit first."""
 
     def __init__(self, space: Sigma2, resolution: int):
         if not 1 <= resolution <= 20:
             raise ValueError("cylinder length must be in 1..20")
         self.space = space
         self.resolution = resolution
-        radius = 2.0 ** (-resolution)
-        boxes = []
-        for value in range(2**resolution):
-            word = tuple((value >> (resolution - 1 - k)) & 1 for k in range(resolution))
-            boxes.append(
-                Box(
-                    index=value,
-                    key=word,
-                    center=BinarySeq(word, (0,)),
-                    radius=radius,
-                )
-            )
-        self.boxes = tuple(boxes)
+        self.radius = 2.0 ** (-resolution)
+
+    def __len__(self):
+        return 1 << self.resolution
+
+    def _word(self, index):
+        n = self.resolution
+        return tuple((index >> (n - 1 - k)) & 1 for k in range(n))
+
+    @cached_property
+    def centers(self):
+        return [BinarySeq(self._word(i), (0,)) for i in range(len(self))]
 
     def locate(self, p):
         value = 0
@@ -749,9 +742,9 @@ class Sigma2Cover(BoxCover):
         return value
 
     def box_samples(self, index, count, seed=0):
-        word = self.boxes[index].key
+        word = self._word(index)
         rng = self._box_rng(index, seed)
-        out = [self.boxes[index].center]
+        out = [BinarySeq(word, (0,))]
         while len(out) < count:
             tail = tuple(rng.randrange(2) for _ in range(24))
             out.append(BinarySeq(word + tail, (rng.randrange(2),)))
@@ -759,24 +752,23 @@ class Sigma2Cover(BoxCover):
 
 
 class ProductCover(BoxCover):
+    """Pairs of a left and a right box: box i is (i // m, i % m), m = len(right)."""
+
     def __init__(self, space: ProductSpace, resolution: int):
         self.space = space
         self.resolution = resolution
         self.left = space.first.box_cover(resolution)
         self.right = space.second.box_cover(resolution)
         _check_box_count(len(self.left) * len(self.right))
-        boxes = []
-        for a in self.left.boxes:
-            for b in self.right.boxes:
-                boxes.append(
-                    Box(
-                        index=a.index * len(self.right) + b.index,
-                        key=(a.key, b.key),
-                        center=(a.center, b.center),
-                        radius=max(a.radius, b.radius),
-                    )
-                )
-        self.boxes = tuple(boxes)
+        self.radius = max(self.left.radius, self.right.radius)
+
+    def __len__(self):
+        return len(self.left) * len(self.right)
+
+    @cached_property
+    def centers(self):
+        rights = self.right.centers
+        return [(a, b) for a in self.left.centers for b in rights]
 
     def locate(self, p):
         return self.left.locate(p[0]) * len(self.right) + self.right.locate(p[1])
@@ -801,12 +793,19 @@ class ProductCover(BoxCover):
 
 
 class DiscreteCover(BoxCover):
+    """One box per point; box i is the point i, so `centers` is `ids`."""
+
     def __init__(self, space: DiscretePoints, resolution: int):
         self.space = space
         self.resolution = resolution
-        self.boxes = tuple(
-            Box(index=i, key=(i,), center=i, radius=0.0) for i in range(space.size)
-        )
+        self.radius = 0.0
+
+    def __len__(self):
+        return self.space.size
+
+    @property
+    def centers(self):
+        return self.ids
 
     def locate(self, p):
         return p
@@ -814,4 +813,4 @@ class DiscreteCover(BoxCover):
 
 def grid_points(space: Space, resolution: int) -> list[Point]:
     """Box-center grid, handy as a candidate set for searches."""
-    return [box.center for box in space.box_cover(resolution).boxes]
+    return space.box_cover(resolution).centers

@@ -81,25 +81,6 @@ class IFSystem:
     def has_inverse(self, label: Symbol) -> bool:
         return self.inverse_maps is not None and label in self.inverse_maps
 
-    def restrict(self, labels: tuple) -> "IFSystem":
-        """Subsystem keeping only the given symbols."""
-        missing = [l for l in labels if l not in self.maps]
-        if missing:
-            raise UnknownSymbolError(f"{missing!r} not in {self.name}")
-        inv = None
-        if self.inverse_maps is not None:
-            inv = {l: self.inverse_maps[l] for l in labels if l in self.inverse_maps}
-        return IFSystem(
-            space=self.space,
-            labels=tuple(labels),
-            maps={l: self.maps[l] for l in labels},
-            inverse_maps=inv,
-            ratio=self.ratio,
-            name=f"{self.name}[{','.join(map(str, labels))}]",
-            surjective=False,
-            check=False,
-        )
-
 
 @dataclass(frozen=True)
 class SymbolStream:

@@ -125,7 +125,7 @@ def _reference_edges(ifs, eps, resolution, labels=None, samples_per_box=3, seed=
     """Reference: the set-and-sort row build, querying every box's centre."""
     use = tuple(labels) if labels is not None else ifs.labels
     cover = ifs.space.box_cover(resolution)
-    slack = eps + cover.boxes[0].radius
+    slack = eps + cover.radius
     edges = []
     for i in range(len(cover)):
         targets: set[int] = set()
@@ -133,7 +133,7 @@ def _reference_edges(ifs, eps, resolution, labels=None, samples_per_box=3, seed=
             for label in use:
                 q = ifs.apply(label, p)
                 targets.update(
-                    b.index for b in cover.boxes if ifs.space.distance(b.center, q) <= slack
+                    j for j, c in enumerate(cover.centers) if ifs.space.distance(c, q) <= slack
                 )
         edges.append(tuple(sorted(targets)))
     return tuple(edges)
@@ -145,11 +145,11 @@ def _gasket_onto_one_centre(resolution=8, ix=4, iy=1):
     so that row holds a box at `abs(dy) == radius`."""
     space = make("sierpinski").space
     cover = space.box_cover(resolution)
-    centre = cover.boxes[iy * resolution + ix].center
-    above = cover.boxes[(iy + 1) * resolution + ix].center
+    centre = cover.centers[iy * resolution + ix]
+    above = cover.centers[(iy + 1) * resolution + ix]
     dy = above[1] - centre[1]
-    eps = dy - cover.boxes[0].radius
-    assert eps + cover.boxes[0].radius == dy
+    eps = dy - cover.radius
+    assert eps + cover.radius == dy
     ifs = IFSystem(space=space, labels=("c",), maps={"c": lambda p: centre}, name="onto")
     return ifs, eps, resolution
 
@@ -194,7 +194,7 @@ def test_merged_runs_match_the_set_and_sort_build(params):
     ifs = _system(name)
     graph = build_chain_graph(ifs, eps, resolution, samples_per_box=samples, seed=seed)
     assert graph.edges == _reference_edges(ifs, eps, resolution, None, samples, seed)
-    assert all(i is graph.cover.boxes[i].index for row in graph.edges for i in row)
+    assert all(i is graph.cover.ids[i] for row in graph.edges for i in row)
 
 
 def test_gasket_row_at_the_query_radius_is_in_the_graph():

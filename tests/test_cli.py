@@ -392,11 +392,25 @@ def test_size_flags_stop_at_their_budget(tmp_path, capsys, argv, output) -> None
           "--chain-from", "0", "--chain-to", "2"], {
             "chain.tsv": "0be8986bc0536aaedcc36f94843dc33a692991919a221b3522a9f79aef14f881",
         }),
+        # attractor images at their defaults: one plane and two line strips
+        (["attractor", "--example", "sierpinski"], {
+            "attractor_points.tsv": "ac4614ce0629c1ae734170bb334348aa3f30664214e2d2770d42e58652162c75",
+            "attractor.pgm": "cd4eca8a4433364856e463dc0661cb01866092b60e5b32fe3ebd29a1f3a5672d",
+        }),
+        (["attractor", "--example", "minimal_pair"], {
+            "attractor_points.tsv": "ff8ccaadcd40d5e8ff1a8e1424ed82d2c7089e1b58548d4594786ec34dfe1f9a",
+            "attractor.pgm": "39c80b9fbb38dfeaa07b0fb83ffd80a1fadc9f44f695015548e6267a30cd450c",
+        }),
+        (["attractor", "--example", "circle_counterexample"], {
+            "attractor_points.tsv": "6d76c21e4bf567512b9fd872005630e902ef43c870a48d00ea9f7e682d507b82",
+            "attractor.pgm": "2284308b59b97870eba61e230794419cb2673c49aa712e983032f1acf81dc835",
+        }),
     ],
     ids=["shadow-gasket", "shadow-interval", "shadow-gasket-default", "shadow-interval-default",
          "orbit-sigma2", "orbit-finite-set",
          "orbit-sigma2-long", "orbit-sigma2-burst", "shadow-sigma2", "chainrec-sigma2",
-         "chainrec-gasket", "chainrec-interval", "chainrec-finite-set-first-hop"],
+         "chainrec-gasket", "chainrec-interval", "chainrec-finite-set-first-hop",
+         "attractor-gasket", "attractor-interval", "attractor-circle"],
 )
 def test_per_point_outputs_are_pinned(tmp_path, argv, digests) -> None:
     """Runs through every space whose point checks sit at the entry points,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from random import Random
 
 import pytest
@@ -13,11 +14,14 @@ from ifs_shadow import (
     Circle,
     DiscretePoints,
     Interval,
+    IntervalCover,
     PlaneCover,
     PlaneRegion,
+    ProductCover,
     ProductSpace,
     PseudoOrbit,
     Sigma2,
+    Sigma2Cover,
     SpaceMismatchError,
     SymbolStream,
     brute_force_search,
@@ -27,6 +31,7 @@ from ifs_shadow import (
     grid_points,
     make,
 )
+from ifs_shadow.seeding import mix_seed
 
 SQRT3 = math.sqrt(3.0)
 
@@ -171,8 +176,8 @@ def cover_case(request):
 
 def test_locate_finds_each_center(cover_case):
     _, cover = cover_case
-    for box in cover.boxes:
-        assert cover.locate(box.center) == box.index
+    for i, c in enumerate(cover.centers):
+        assert cover.locate(c) == i
 
 
 def _assert_runs_flatten_to_near(cover, p, radius):
@@ -191,7 +196,7 @@ def test_near_matches_brute_force_center_filter(cover_case):
         p = space.sample(rng)
         radius = rng.uniform(0.0, 0.6 * space.diameter())
         # ascending: box-graph searches visit the boxes in this order
-        expected = [b.index for b in cover.boxes if space.distance(b.center, p) <= radius]
+        expected = [i for i, c in enumerate(cover.centers) if space.distance(c, p) <= radius]
         assert cover.near(p, radius) == expected
         _assert_runs_flatten_to_near(cover, p, radius)
         assert cover.near(p, -1.0) == []
@@ -209,7 +214,7 @@ def test_circle_near_wraps_around_in_ascending_order(resolution):
     for p in points:
         for radius in radii:
             expected = [
-                b.index for b in cover.boxes if circle.distance(b.center, p % 1.0) <= radius
+                i for i, c in enumerate(cover.centers) if circle.distance(c, p % 1.0) <= radius
             ]
             assert cover.near(p, radius) == expected, (p, radius)
             straddled += 0 in expected and resolution - 1 in expected
@@ -235,7 +240,7 @@ def _reference_interval_near(cover, p, radius):
         window = [*range(hi - n), *range(max(lo, 0), min(hi, n)), *range(n + lo, n)]
     out = []
     for i in window:
-        d = abs(cover.boxes[i].center - p)
+        d = abs(cover.centers[i] - p)
         if cover.wrap:
             d = min(d, 1.0 - d)
         if d <= radius:
@@ -254,9 +259,10 @@ def _reference_plane_near(cover, p, radius):
     out = []
     for iy in range(max(iy0 - sy, 0), min(iy0 + sy + 1, cover.resolution)):
         for ix in range(max(ix0 - sx, 0), min(ix0 + sx + 1, cover.resolution)):
-            b = cover.boxes[iy * cover.resolution + ix]
-            if math.hypot(b.center[0] - p[0], b.center[1] - p[1]) <= radius:
-                out.append(b.index)
+            i = iy * cover.resolution + ix
+            c = cover.centers[i]
+            if math.hypot(c[0] - p[0], c[1] - p[1]) <= radius:
+                out.append(i)
     return out
 
 
@@ -279,8 +285,7 @@ def _near_queries(draw):
     plane = isinstance(space, PlaneRegion)
     sizes = st.integers(1, 16) | st.sampled_from([33, 64] if plane else [97, 1000, 2048])
     cover = _run_cover(which, draw(sizes))
-    centers = [b.center for b in cover.boxes]
-    on_center = st.sampled_from(centers)
+    on_center = st.sampled_from(cover.centers)
     if plane:
         coord = st.floats(-0.5, 1.5)
         p = draw(st.tuples(coord, coord) | on_center)
@@ -323,11 +328,11 @@ def test_plane_row_at_exactly_the_radius_is_tested(space, rows):
     still holds the box straight above p, at hypot(0, dy) == radius."""
     cover = space.box_cover(16)
     ix, iy = 7, 4
-    p = cover.boxes[iy * 16 + ix].center
-    above = cover.boxes[(iy + rows) * 16 + ix]
-    radius = abs(above.center[1] - p[1])
+    p = cover.centers[iy * 16 + ix]
+    above = (iy + rows) * 16 + ix
+    radius = abs(cover.centers[above][1] - p[1])
     found = cover.near(p, radius)
-    assert above.index in found
+    assert above in found
     assert found == _reference_plane_near(cover, p, radius)
     _assert_runs_flatten_to_near(cover, p, radius)
 
@@ -347,27 +352,27 @@ def test_near_returns_the_boxes_own_index_objects(space, resolution, p, radius):
     cover = space.box_cover(resolution)
     found = cover.near(p, radius)
     assert max(found) > 256  # past the small ints the interpreter caches
-    assert all(i is cover.boxes[i].index for i in found)
+    assert all(i is cover.ids[i] for i in found)
 
 
 def test_box_samples_stay_in_their_box(cover_case):
     space, cover = cover_case
-    for box in cover.boxes:
-        samples = cover.box_samples(box.index, 5, seed=9)
+    for i in range(len(cover)):
+        samples = cover.box_samples(i, 5, seed=9)
         assert len(samples) <= 5
         for s in samples:
             assert space.contains(s)
-            assert cover.locate(s) == box.index
+            assert cover.locate(s) == i
         # deterministic in the seed
-        assert samples == cover.box_samples(box.index, 5, seed=9)
+        assert samples == cover.box_samples(i, 5, seed=9)
 
 
 def test_box_radius_is_sound(cover_case):
     """Every box sample lies within the advertised radius of the center."""
     space, cover = cover_case
-    for box in cover.boxes[:: max(1, len(cover) // 9)]:
-        for s in cover.box_samples(box.index, 8, seed=2):
-            assert space.distance(s, box.center) <= box.radius + 1e-12
+    for i in range(0, len(cover), max(1, len(cover) // 9)):
+        for s in cover.box_samples(i, 8, seed=2):
+            assert space.distance(s, cover.centers[i]) <= cover.radius + 1e-12
 
 
 def test_grid_point_counts():
@@ -399,6 +404,176 @@ def test_sigma2_cover_is_cylinder_indexed_by_word():
     cover = Sigma2().box_cover(3)
     assert len(cover) == 8
     # index is the word read as a binary number
-    assert cover.boxes[5].key == (1, 0, 1)
+    assert cover.centers[5] == BinarySeq((1, 0, 1), (0,))
     s = BinarySeq((1, 0, 1, 1), (0, 1))
     assert cover.locate(s) == 5
+
+
+# --------------------------------------------------------------------------
+# index arithmetic against the per-box records covers used to store
+
+
+@dataclass(frozen=True, eq=False)
+class _Box:
+    """One cell of a cover as a stored record: index, grid key, centre, radius."""
+
+    index: int
+    key: tuple
+    center: object
+    radius: float
+    lower: tuple | None = None
+    upper: tuple | None = None
+
+
+@functools.cache
+def _reference_boxes(cover):
+    """The cover's boxes as one record each, built by the constructor loops
+    the covers ran before they derived every box from its index."""
+    if isinstance(cover, IntervalCover):
+        half = cover.width / 2.0
+        return tuple(
+            _Box(
+                index=i,
+                key=(i,),
+                center=cover.lo + (i + 0.5) * cover.width,
+                radius=half,
+                lower=(cover.lo + i * cover.width,),
+                upper=(cover.lo + (i + 1) * cover.width,),
+            )
+            for i in range(cover.resolution)
+        )
+    if isinstance(cover, PlaneCover):
+        space, resolution = cover.space, cover.resolution
+        radius = math.hypot(cover.wx, cover.wy) / 2.0
+        boxes = []
+        for iy in range(resolution):
+            for ix in range(resolution):
+                lo = (space.x0 + ix * cover.wx, space.y0 + iy * cover.wy)
+                hi = (space.x0 + (ix + 1) * cover.wx, space.y0 + (iy + 1) * cover.wy)
+                boxes.append(
+                    _Box(
+                        index=iy * resolution + ix,
+                        key=(ix, iy),
+                        center=((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0),
+                        radius=radius,
+                        lower=lo,
+                        upper=hi,
+                    )
+                )
+        return tuple(boxes)
+    if isinstance(cover, Sigma2Cover):
+        resolution = cover.resolution
+        radius = 2.0 ** (-resolution)
+        boxes = []
+        for value in range(2**resolution):
+            word = tuple((value >> (resolution - 1 - k)) & 1 for k in range(resolution))
+            boxes.append(
+                _Box(
+                    index=value,
+                    key=word,
+                    center=BinarySeq(word, (0,)),
+                    radius=radius,
+                )
+            )
+        return tuple(boxes)
+    if isinstance(cover, ProductCover):
+        right = _reference_boxes(cover.right)
+        boxes = []
+        for a in _reference_boxes(cover.left):
+            for b in right:
+                boxes.append(
+                    _Box(
+                        index=a.index * len(right) + b.index,
+                        key=(a.key, b.key),
+                        center=(a.center, b.center),
+                        radius=max(a.radius, b.radius),
+                    )
+                )
+        return tuple(boxes)
+    return tuple(_Box(index=i, key=(i,), center=i, radius=0.0) for i in range(cover.space.size))
+
+
+def _reference_samples(cover, index, count, seed):
+    """`box_samples` as it read the box records."""
+    b = _reference_boxes(cover)[index]
+    if isinstance(cover, IntervalCover):
+        rng = cover._box_rng(index, seed)
+        out = [b.center]
+        while len(out) < count:
+            x = b.lower[0] + rng.random() * cover.width
+            out.append(x % 1.0 if cover.wrap else x)
+        return out[:count]
+    if isinstance(cover, PlaneCover):
+        rng = cover._box_rng(index, seed)
+        out = [b.center] if cover.space.contains(b.center) else []
+        for _ in range(16 * count):
+            if len(out) >= count:
+                break
+            p = (b.lower[0] + rng.random() * cover.wx, b.lower[1] + rng.random() * cover.wy)
+            if cover.space.contains(p):
+                out.append(p)
+        return out[:count]
+    if isinstance(cover, Sigma2Cover):
+        word = b.key
+        rng = cover._box_rng(index, seed)
+        out = [b.center]
+        while len(out) < count:
+            tail = tuple(rng.randrange(2) for _ in range(24))
+            out.append(BinarySeq(word + tail, (rng.randrange(2),)))
+        return out[:count]
+    if isinstance(cover, ProductCover):
+        ia, ib = divmod(index, len(cover.right))
+        lefts = _reference_samples(cover.left, ia, count, seed)
+        rights = _reference_samples(cover.right, ib, count, mix_seed(seed, 1))
+        return [(a, b) for a, b in zip(lefts, rights)]
+    return [b.center] if cover.space.contains(b.center) else []
+
+
+_SQUARE = PlaneRegion(0.0, 0.0, 1.0, 1.0)
+_GASKET = make("sierpinski").space
+_LAYOUT_CASES = [
+    *[(f"circle-{n}", Circle(), n) for n in (1, 2, 3, 2048)],
+    ("interval-1", Interval(0.0, 1.0), 1),
+    ("wide_interval-7", Interval(-2.0, 3.0), 7),
+    ("pair_interval-1000", make("minimal_pair").space, 1000),
+    ("square-1", _SQUARE, 1),
+    ("square-9", _SQUARE, 9),
+    ("gasket-5", _GASKET, 5),
+    ("gasket-32", _GASKET, 32),
+    *[(f"sigma2-{n}", Sigma2(), n) for n in range(1, 7)],
+    ("interval_x_circle-3", ProductSpace(Interval(0.0, 1.0), Circle()), 3),
+    ("gasket_x_sigma2-2", ProductSpace(_GASKET, Sigma2()), 2),
+    ("points-1", DiscretePoints(1), 1),
+    ("points-5", DiscretePoints(5), 3),
+]
+
+
+@pytest.mark.parametrize("space, resolution", [c[1:] for c in _LAYOUT_CASES],
+                         ids=[c[0] for c in _LAYOUT_CASES])
+def test_index_arithmetic_matches_the_box_records(space, resolution):
+    """Centres, radius and samples are bitwise those of the stored records,
+    and each record's centre locates to its own index."""
+    cover = space.box_cover(resolution)
+    boxes = _reference_boxes(cover)
+    assert len(cover) == len(boxes)
+    assert [repr(c) for c in cover.centers] == [repr(b.center) for b in boxes]
+    assert {repr(b.radius) for b in boxes} == {repr(cover.radius)}
+    assert [b.index for b in boxes] == cover.ids
+    for i, b in enumerate(boxes):
+        assert cover.locate(b.center) == i
+        for seed in (0, 9, 12345):
+            assert repr(cover.box_samples(i, 4, seed)) == repr(_reference_samples(cover, i, 4, seed))
+
+
+@pytest.mark.parametrize("space, resolution", [c[1:] for c in _LAYOUT_CASES],
+                         ids=[c[0] for c in _LAYOUT_CASES])
+def test_len_and_locate_build_no_box_lists(space, resolution):
+    """A cover asked only for its size and for `locate` builds neither its
+    `centers` nor its `ids`."""
+    cover = space.box_cover(resolution)
+    assert len(cover) >= 1
+    for p in (space.sample(Random(seed)) for seed in range(5)):
+        assert 0 <= cover.locate(p) < len(cover)
+    for part in (cover, getattr(cover, "left", None), getattr(cover, "right", None)):
+        if part is not None:
+            assert "centers" not in vars(part) and "ids" not in vars(part)

@@ -66,17 +66,6 @@ def test_membership_probes_catch_escaping_map():
     IFSystem(space=space, labels=(1,), maps={1: lambda x: x + 0.5}, check=False)
 
 
-def test_restrict_keeps_named_symbols(halving_pair):
-    sub = halving_pair.restrict((2,))
-    assert sub.labels == (2,)
-    assert sub.apply(2, 0.0) == 0.5
-    assert sub.invert(2, 0.75) == 0.5
-    with pytest.raises(UnknownSymbolError):
-        sub.apply(1, 0.0)
-    with pytest.raises(UnknownSymbolError):
-        halving_pair.restrict((7,))
-
-
 def test_symbol_streams():
     assert SymbolStream.constant("a")[12345] == "a"
     per = SymbolStream.periodic((1, 2, 3))
